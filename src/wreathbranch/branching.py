@@ -15,7 +15,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .lr import lr_multi
-from .shapes import (Composition, Multipartition, Partition, compositions,
+from .shapes import (Multipartition, Partition, check_partition, compositions,
                      enumerate_partitions, multipartitions, removable_boxes,
                      size_composition, specht_dimension)
 
@@ -64,7 +64,6 @@ def _size_flows(support, row_sums, col_sums):
     Enumerated row by row with column-budget pruning.
     """
     s = len(support)
-    t = len(support[0]) if s else len(col_sums)
 
     def rows(i, budgets):
         if i == s:
@@ -93,11 +92,6 @@ def _row_choices(support_row, total, budgets):
                 yield (v,) + rest
 
     yield from go(0, total)
-
-
-def _cell_multipartitions(length: int, size: int):
-    """All multipartitions with `length` components of total size `size`."""
-    return tuple(multipartitions(size, length))
 
 
 def enumerate_good_labellings(layer: YoungLayer, lam: Multipartition,
@@ -144,42 +138,6 @@ def labelling_coefficient(gl: GoodLabelling) -> int:
     return coeff
 
 
-def mat_lambda(L, alpha: Composition, beta: Composition) -> list:
-    """All multipartition matrices with entry lengths L and given sums.
-
-    Row i must contain integers summing to alpha[i], column j to
-    beta[j], and cell (i, j) must have exactly L[i][j] components.
-    """
-    L = tuple(tuple(row) for row in L)
-    alpha, beta = tuple(alpha), tuple(beta)
-    if len(alpha) != len(L) or any(len(row) != len(beta) for row in L):
-        raise ValueError("dimension mismatch between L, alpha and beta")
-    if sum(alpha) != sum(beta):
-        return []
-    out = []
-    for flow in _size_flows(tuple(tuple(1 if v else 0 for v in row) for row in L),
-                            alpha, beta):
-        cell_pools = [[_cell_multipartitions(L[i][j], flow[i][j])
-                       for j in range(len(beta))] for i in range(len(alpha))]
-        for choice in itertools.product(*(pool for row in cell_pools
-                                          for pool in row)):
-            rows = tuple(tuple(choice[i * len(beta) + j]
-                               for j in range(len(beta)))
-                         for i in range(len(alpha)))
-            out.append(rows)
-    return out
-
-
-def row_tuple(M, i: int) -> tuple[Partition, ...]:
-    """Concatenate the entries along row i, dropping empty partitions."""
-    return tuple(p for cell in M[i] for p in cell if p != ())
-
-
-def col_tuple(M, j: int) -> tuple[Partition, ...]:
-    """Concatenate the entries along column j, dropping empty partitions."""
-    return tuple(p for row in M for p in row[j] if p != ())
-
-
 def _nonzero_row_fillings(A_row, eta_i: Partition):
     """Cell fillings for one row with a nonzero row LR coefficient.
 
@@ -202,20 +160,21 @@ def _nonzero_row_fillings(A_row, eta_i: Partition):
             yield tuple(tuple(c) for c in cells), coeff
 
 
-def filtration_multiplicities(A, eta: Multipartition, t: int) -> dict:
+def filtration_multiplicities(A, eta: Multipartition) -> dict:
     """The multiplicity map of the matrix-sum formula.
 
-    For each t-multipartition nu of n, sums over matrices in
-    Mat(A; |eta| x |nu|) the product of row coefficients
-    lr_multi(eta^i, R_i) and column coefficients lr_multi(nu^j, C_j).
-    Zero entries are omitted.
+    With t the number of columns of A, for each t-multipartition nu of
+    n, sums over matrices in Mat(A; |eta| x |nu|) the product of row
+    coefficients lr_multi(eta^i, R_i) and column coefficients
+    lr_multi(nu^j, C_j).  Zero entries are omitted.
     """
     A = tuple(tuple(row) for row in A)
     eta = tuple(tuple(p) for p in eta)
     if len(eta) != len(A):
         raise ValueError("eta must have one component per row of A")
+    t = len(A[0]) if A else 0
     if any(len(row) != t for row in A):
-        raise ValueError("A must have t columns")
+        raise ValueError("the rows of A must have equal length")
 
     per_row = [list(_nonzero_row_fillings(A[i], eta[i]))
                for i in range(len(eta))]
@@ -247,6 +206,14 @@ def _column_expansion(col_parts) -> dict:
     return {k: v for k, v in cm.items() if v}
 
 
+def _check_lambda(lam, components: int) -> Multipartition:
+    """`lam` as a tuple of `components` partitions, or ValueError."""
+    lam = tuple(lam)
+    if len(lam) != components:
+        raise ValueError(f"lambda must have {components} components")
+    return tuple(map(check_partition, lam))
+
+
 def branch_first(m: int, lam: Multipartition, method: str = "matrices") -> dict:
     """Multiplicities of the restriction from S_m wr S_n to S_{m-1} wr S_n.
 
@@ -255,11 +222,9 @@ def branch_first(m: int, lam: Multipartition, method: str = "matrices") -> dict:
     good-labelling sum; both give the same map.
     """
     layer = young_layer(m)
-    lam = tuple(tuple(p) for p in lam)
-    if len(lam) != len(layer.upper):
-        raise ValueError(f"lambda must have {len(layer.upper)} components")
+    lam = _check_lambda(lam, len(layer.upper))
     if method == "matrices":
-        return filtration_multiplicities(layer.adjacency, lam, len(layer.lower))
+        return filtration_multiplicities(layer.adjacency, lam)
     if method == "labellings":
         n = sum(map(sum, lam))
         result: dict[Multipartition, int] = {}
@@ -275,9 +240,7 @@ def branch_first(m: int, lam: Multipartition, method: str = "matrices") -> dict:
 def wreath_specht_dimension(m: int, lam: Multipartition) -> int:
     """Dimension of the Specht module of S_m wr S_n indexed by `lam`."""
     upper = enumerate_partitions(m)
-    lam = tuple(tuple(p) for p in lam)
-    if len(lam) != len(upper):
-        raise ValueError(f"lambda must have {len(upper)} components")
+    lam = _check_lambda(lam, len(upper))
     n = sum(map(sum, lam))
     dim = factorial(n)
     for mu, part in zip(upper, lam):
@@ -295,9 +258,7 @@ def branch_second(m: int, n: int, lam: Multipartition) -> dict:
     if n < 1:
         raise ValueError("n must be at least 1")
     upper = enumerate_partitions(m)
-    lam = tuple(tuple(p) for p in lam)
-    if len(lam) != len(upper):
-        raise ValueError(f"lambda must have {len(upper)} components")
+    lam = _check_lambda(lam, len(upper))
     if sum(map(sum, lam)) != n:
         raise ValueError("lambda must be a multipartition of n")
     result: dict[Multipartition, int] = {}
@@ -308,30 +269,3 @@ def branch_second(m: int, n: int, lam: Multipartition) -> dict:
             key = lam[:i] + (delta,) + lam[i + 1:]
             result[key] = result.get(key, 0) + specht_dimension(upper[i])
     return result
-
-
-def verify_branch_dimensions(m: int, n: int, rule: str) -> dict:
-    """Check that restriction preserves dimension for every multipartition.
-
-    Returns {"checked": count, "failures": [description, ...]}.
-    """
-    r = len(enumerate_partitions(m))
-    checked = 0
-    failures = []
-    for lam in multipartitions(n, r):
-        expected = wreath_specht_dimension(m, lam)
-        if rule == "first":
-            mults = branch_first(m, lam)
-            total = sum(mult * wreath_specht_dimension(m - 1, nu)
-                        for nu, mult in mults.items())
-        elif rule == "second":
-            mults = branch_second(m, n, lam)
-            total = sum(mult * wreath_specht_dimension(m, delta)
-                        for delta, mult in mults.items())
-        else:
-            raise ValueError(f"unknown rule {rule!r}")
-        checked += 1
-        if total != expected:
-            failures.append(f"m={m} n={n} rule={rule} lambda={lam}: "
-                            f"{total} != {expected}")
-    return {"checked": checked, "failures": failures}

@@ -1,11 +1,9 @@
-"""Littlewood-Richardson coefficients and a Schur-polynomial oracle.
+"""Littlewood-Richardson coefficients.
 
 ``lr_coefficient`` counts lattice-word semistandard skew tableaux
 directly.  ``lr_multi`` extends it to a tuple of partitions by peeling
-off the first one and recursing.  ``schur_product_oracle`` computes the
-same coefficients by a completely different route (multiplying explicit
-Schur polynomial expansions and peeling lex-leading terms) and exists
-solely to cross-check the rule.
+off the first one and recursing.  ``verify.schur_product_oracle``
+cross-checks the rule by an independent route.
 """
 
 from __future__ import annotations
@@ -15,8 +13,6 @@ from functools import cache
 from .shapes import Partition, enumerate_partitions
 from .tableaux import (enumerate_skew_ssyt, is_lattice_word,
                        reverse_reading_word, skew_fits)
-
-SCHUR_ORACLE_BOUND = 10
 
 
 @cache
@@ -61,84 +57,3 @@ def _lr_multi_sorted(lam: Partition, parts) -> int:
         if c:
             total += c * _lr_multi_sorted(beta, tail)
     return total
-
-
-@cache
-def schur_monomials(shape: Partition, nvars: int) -> dict:
-    """The Schur polynomial s_shape in `nvars` variables.
-
-    Returned as a map from exponent vectors (length nvars) to
-    coefficients, built by summing x^content over all semistandard
-    tableaux of the shape with entries at most nvars.
-    """
-    shape = tuple(shape)
-    poly: dict[tuple[int, ...], int] = {}
-    remaining = sum(shape)
-    if len(shape) > nvars > 0 or (shape and nvars == 0):
-        return {}
-    if remaining == 0:
-        return {(0,) * nvars: 1}
-
-    boxes = [(i, j) for i in range(len(shape)) for j in range(shape[i])]
-    content = [0] * nvars
-
-    def backtrack(pos: int, filling: dict):
-        if pos == len(boxes):
-            key = tuple(content)
-            poly[key] = poly.get(key, 0) + 1
-            return
-        i, j = boxes[pos]
-        lo = max(filling.get((i, j - 1), 1), filling.get((i - 1, j), 0) + 1)
-        for v in range(lo, nvars + 1):
-            filling[(i, j)] = v
-            content[v - 1] += 1
-            backtrack(pos + 1, filling)
-            content[v - 1] -= 1
-            del filling[(i, j)]
-
-    backtrack(0, {})
-    return poly
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, ...], int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return out
-
-
-def schur_product_oracle(alpha: Partition, beta: Partition,
-                         bound: int = SCHUR_ORACLE_BOUND) -> dict:
-    """Expand s_alpha * s_beta in the Schur basis without the LR rule.
-
-    Works in exactly |alpha|+|beta| variables: multiply the monomial
-    expansions, then repeatedly subtract off the Schur polynomial of the
-    lexicographically greatest surviving exponent vector (which is
-    always a partition, and each Schur polynomial is monic there).
-    Returns a map partition -> positive coefficient.
-    """
-    alpha, beta = tuple(alpha), tuple(beta)
-    n = sum(alpha) + sum(beta)
-    if n > bound:
-        raise ValueError("oracle bound exceeded")
-    nvars = n
-    if nvars == 0:
-        return {(): 1}
-    product = _poly_mul(schur_monomials(alpha, nvars),
-                        schur_monomials(beta, nvars))
-    expansion: dict[Partition, int] = {}
-    while product:
-        lead = max(product)
-        coeff = product[lead]
-        shape = tuple(p for p in lead if p > 0)
-        assert all(lead[i] >= lead[i + 1] for i in range(len(lead) - 1))
-        expansion[shape] = coeff
-        for exp, c in schur_monomials(shape, nvars).items():
-            v = product.get(exp, 0) - coeff * c
-            if v:
-                product[exp] = v
-            else:
-                product.pop(exp, None)
-    return expansion

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import cache
 from typing import Iterator, NamedTuple
 
 from .shapes import Composition
@@ -21,15 +20,9 @@ from .tableaux import Rows, shape_of
 
 Perm = tuple[int, ...]
 
-ORACLE_BOUND = 7
-
 
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
-
-
-def is_perm(p) -> bool:
-    return sorted(p) == list(range(1, len(p) + 1))
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -213,67 +206,3 @@ def rho_cosets(sizes: Composition) -> list[tuple[int, Perm]]:
         else:
             out.append((i, from_cycles([[b] + list(range(n, b, -1))], n)))
     return out
-
-
-@cache
-def young_subgroup(gamma: Composition, n: int | None = None) -> tuple[Perm, ...]:
-    """All elements of the Young subgroup S_gamma inside S_n (n = |gamma|)."""
-    gamma = tuple(gamma)
-    if n is None:
-        n = sum(gamma)
-    if sum(gamma) != n:
-        raise ValueError("composition size must equal the degree")
-    blocks = []
-    start = 1
-    for part in gamma:
-        blocks.append(list(itertools.permutations(range(start, start + part))))
-        start += part
-    return tuple(tuple(itertools.chain.from_iterable(choice))
-                 for choice in itertools.product(*blocks))
-
-
-def _block_transpositions(gamma: Composition, n: int) -> list[Perm]:
-    gens = []
-    start = 1
-    for part in gamma:
-        for j in range(start, start + part - 1):
-            gens.append(from_cycles([[j, j + 1]], n))
-        start += part
-    return gens
-
-
-def brute_force_double_cosets(gamma: Composition, alpha: Composition,
-                              bound: int = ORACLE_BOUND) -> list[frozenset]:
-    """Partition S_n into (S_gamma, S_alpha)-double cosets by orbit closure.
-
-    Exhaustive oracle: walks all n! elements, so n is capped by `bound`.
-    Cosets are returned sorted by their minimal element.
-    """
-    n = sum(gamma)
-    if sum(alpha) != n:
-        raise ValueError("gamma and alpha must have equal size")
-    if n > bound:
-        raise ValueError("oracle bound exceeded")
-    left = _block_transpositions(tuple(gamma), n)
-    right = _block_transpositions(tuple(alpha), n)
-    unseen = set(all_perms(n))
-    cosets = []
-    while unseen:
-        seed = min(unseen)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            sigma = frontier.pop()
-            for g in left:
-                nxt = compose(g, sigma)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-            for h in right:
-                nxt = compose(sigma, h)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        unseen -= orbit
-        cosets.append(frozenset(orbit))
-    return sorted(cosets, key=min)

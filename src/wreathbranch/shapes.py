@@ -30,13 +30,10 @@ def is_partition(parts) -> bool:
     return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 
-def is_composition(parts) -> bool:
-    return all(isinstance(p, int) and p >= 0 for p in parts)
-
-
 def check_partition(parts) -> Partition:
+    """`parts` as a tuple, or ValueError unless it is a partition of ints."""
     parts = tuple(parts)
-    if not is_partition(parts):
+    if any(type(p) is not int for p in parts) or not is_partition(parts):
         raise ValueError(f"not a partition: {parts}")
     return parts
 
@@ -97,7 +94,8 @@ def specht_dimension(lam: Partition) -> int:
         for j in range(row):
             hooks *= (row - j) + (conj[j] - i) - 1
     dim, rem = divmod(factorial(sum(lam)), hooks)
-    assert rem == 0
+    if rem:
+        raise RuntimeError(f"hook product of {lam} does not divide n!")
     return dim
 
 

@@ -1,22 +1,171 @@
-"""Exhaustive self-check suites over desk-scale bounds.
+"""Independent oracles and exhaustive self-check suites.
 
-Each suite walks a finite family of instances, compares an independently
-computed value against the production code path, and returns
-``{"checked": count, "failures": [message, ...]}``.  The CLI and the
-acceptance tests both run these.
+The oracles share no code with the production modules: Schur
+polynomials multiplied out monomial by monomial, and double cosets
+found by orbit closure over all of S_n.  Each suite compares an
+independent value with the production code over a finite family and
+returns ``{"checked": count, "failures": [message, ...]}``.  The CLI
+and the acceptance tests both run these.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cache, partial
 from math import factorial
 
-from .branching import branch_first, verify_branch_dimensions
-from .lr import lr_coefficient, schur_product_oracle
-from .perms import (all_perms, brute_force_double_cosets, compose, descents,
-                    double_coset_reps, from_cycles, identity, inverse, length,
-                    rho_cosets, standard_tableau, to_cycles, young_subgroup)
-from .shapes import enumerate_partitions, multipartitions
+from .branching import branch_first, branch_second, wreath_specht_dimension
+from .lr import lr_coefficient
+from .perms import (Perm, all_perms, compose, descents, double_coset_reps,
+                    from_cycles, inverse, length, rho_cosets,
+                    standard_tableau, to_cycles)
+from .shapes import (Composition, Partition, compositions,
+                     enumerate_partitions, multipartitions)
+
+# Largest |alpha| + |beta| for schur_product_oracle, and largest n for
+# brute_force_double_cosets, which walks all n! permutations.
+SCHUR_ORACLE_BOUND = 10
+ORACLE_BOUND = 7
+
+
+@cache
+def schur_monomials(shape: Partition, nvars: int) -> dict:
+    """The Schur polynomial s_shape in `nvars` variables.
+
+    Returned as a map from exponent vectors (length nvars) to
+    coefficients, built by summing x^content over all semistandard
+    tableaux of the shape with entries at most nvars.
+    """
+    shape = tuple(shape)
+    poly: dict[tuple[int, ...], int] = {}
+    remaining = sum(shape)
+    if len(shape) > nvars > 0 or (shape and nvars == 0):
+        return {}
+    if remaining == 0:
+        return {(0,) * nvars: 1}
+
+    boxes = [(i, j) for i in range(len(shape)) for j in range(shape[i])]
+    content = [0] * nvars
+
+    def backtrack(pos: int, filling: dict):
+        if pos == len(boxes):
+            key = tuple(content)
+            poly[key] = poly.get(key, 0) + 1
+            return
+        i, j = boxes[pos]
+        lo = max(filling.get((i, j - 1), 1), filling.get((i - 1, j), 0) + 1)
+        for v in range(lo, nvars + 1):
+            filling[(i, j)] = v
+            content[v - 1] += 1
+            backtrack(pos + 1, filling)
+            content[v - 1] -= 1
+            del filling[(i, j)]
+
+    backtrack(0, {})
+    return poly
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out: dict[tuple[int, ...], int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def schur_product_oracle(alpha: Partition, beta: Partition) -> dict:
+    """Expand s_alpha * s_beta in the Schur basis without the LR rule.
+
+    Works in exactly |alpha|+|beta| variables: multiply the monomial
+    expansions, then repeatedly subtract off the Schur polynomial of the
+    lexicographically greatest surviving exponent vector (which is
+    always a partition, and each Schur polynomial is monic there).
+    Returns a map partition -> positive coefficient.
+    """
+    alpha, beta = tuple(alpha), tuple(beta)
+    n = sum(alpha) + sum(beta)
+    if n > SCHUR_ORACLE_BOUND:
+        raise ValueError("oracle bound exceeded")
+    nvars = n
+    if nvars == 0:
+        return {(): 1}
+    product = _poly_mul(schur_monomials(alpha, nvars),
+                        schur_monomials(beta, nvars))
+    expansion: dict[Partition, int] = {}
+    while product:
+        lead = max(product)
+        coeff = product[lead]
+        if list(lead) != sorted(lead, reverse=True):
+            raise RuntimeError(f"leading exponent {lead} is not a partition")
+        shape = tuple(p for p in lead if p > 0)
+        expansion[shape] = coeff
+        for exp, c in schur_monomials(shape, nvars).items():
+            v = product.get(exp, 0) - coeff * c
+            if v:
+                product[exp] = v
+            else:
+                product.pop(exp, None)
+    return expansion
+
+
+@cache
+def young_subgroup(gamma: Composition) -> tuple[Perm, ...]:
+    """All elements of the Young subgroup S_gamma inside S_n, n = |gamma|."""
+    blocks = []
+    start = 1
+    for part in gamma:
+        blocks.append(list(itertools.permutations(range(start, start + part))))
+        start += part
+    return tuple(tuple(itertools.chain.from_iterable(choice))
+                 for choice in itertools.product(*blocks))
+
+
+def _block_transpositions(gamma: Composition, n: int) -> list[Perm]:
+    gens = []
+    start = 1
+    for part in gamma:
+        for j in range(start, start + part - 1):
+            gens.append(from_cycles([[j, j + 1]], n))
+        start += part
+    return gens
+
+
+def brute_force_double_cosets(gamma: Composition,
+                              alpha: Composition) -> list[frozenset]:
+    """Partition S_n into (S_gamma, S_alpha)-double cosets by orbit closure.
+
+    Exhaustive oracle: walks all n! elements, so n is capped by
+    ORACLE_BOUND.  Cosets are returned sorted by their minimal element.
+    """
+    n = sum(gamma)
+    if sum(alpha) != n:
+        raise ValueError("gamma and alpha must have equal size")
+    if n > ORACLE_BOUND:
+        raise ValueError("oracle bound exceeded")
+    left = _block_transpositions(tuple(gamma), n)
+    right = _block_transpositions(tuple(alpha), n)
+    unseen = set(all_perms(n))
+    cosets = []
+    while unseen:
+        seed = min(unseen)
+        orbit = {seed}
+        frontier = [seed]
+        while frontier:
+            sigma = frontier.pop()
+            for g in left:
+                nxt = compose(g, sigma)
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    frontier.append(nxt)
+            for h in right:
+                nxt = compose(sigma, h)
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    frontier.append(nxt)
+        unseen -= orbit
+        cosets.append(frozenset(orbit))
+    return sorted(cosets, key=min)
 
 
 def positive_compositions(n: int):
@@ -25,24 +174,15 @@ def positive_compositions(n: int):
     Zero parts change neither the Young subgroup nor the double cosets,
     so the coset suites quantify over these.
     """
-    if n == 0:
-        yield ()
-        return
-    for cuts in itertools.product([0, 1], repeat=n - 1):
-        comp = []
-        run = 1
-        for c in cuts:
-            if c:
-                comp.append(run)
-                run = 1
-            else:
-                run += 1
-        comp.append(run)
-        yield tuple(comp)
+    return (tuple(p + 1 for p in c)
+            for k in range(n + 1) for c in compositions(n - k, k))
 
 
 def verify_lr_oracle(max_total: int = 8) -> dict:
     """Lattice-word counts against Schur-polynomial peeling, all sizes."""
+    if max_total > SCHUR_ORACLE_BOUND:
+        raise ValueError(f"oracle bound exceeded: {max_total} > "
+                         f"{SCHUR_ORACLE_BOUND}")
     checked = 0
     failures = []
     for total in range(0, max_total + 1):
@@ -63,6 +203,8 @@ def verify_lr_oracle(max_total: int = 8) -> dict:
 
 def verify_cosets(max_n: int = 6) -> dict:
     """Double coset representatives against the brute-force partition."""
+    if max_n > ORACLE_BOUND:
+        raise ValueError(f"oracle bound exceeded: {max_n} > {ORACLE_BOUND}")
     checked = 0
     failures = []
     for n in range(1, max_n + 1):
@@ -124,7 +266,7 @@ def verify_stabilizers(max_n: int = 6) -> dict:
     failures = []
     for n in range(1, max_n + 1):
         for gamma in positive_compositions(n):
-            sg = young_subgroup(gamma, n)
+            sg = young_subgroup(gamma)
             flat0 = [e for row in standard_tableau((n,), gamma) for e in row]
             for sigma in all_perms(n):
                 sinv = inverse(sigma)
@@ -190,35 +332,53 @@ def verify_labelling_equivalence(max_m: int = 4, max_n: int = 4) -> dict:
 
 def verify_dimensions(rule: str, max_m: int, max_n: int) -> dict:
     """Restriction preserves total dimension for every multipartition."""
+    if rule not in ("first", "second"):
+        raise ValueError(f"unknown rule {rule!r}")
     checked = 0
     failures = []
-    lo_m = 2
-    for m in range(lo_m, max_m + 1):
+    for m in range(2, max_m + 1):
+        r = len(enumerate_partitions(m))
+        # the same nu recurs for many lambda, so memoize its dimension
+        lower_dim = cache(partial(wreath_specht_dimension,
+                                  m - 1 if rule == "first" else m))
         for n in range(1, max_n + 1):
-            report = verify_branch_dimensions(m, n, rule)
-            checked += report["checked"]
-            failures += report["failures"]
+            for lam in multipartitions(n, r):
+                expected = wreath_specht_dimension(m, lam)
+                mults = (branch_first(m, lam) if rule == "first"
+                         else branch_second(m, n, lam))
+                total = sum(mult * lower_dim(nu) for nu, mult in mults.items())
+                checked += 1
+                if total != expected:
+                    failures.append(f"m={m} n={n} rule={rule} lambda={lam}: "
+                                    f"{total} != {expected}")
     return {"checked": checked, "failures": failures}
 
 
+# suite -> (check taking (max_m, max_n), default max_m, default max_n).
+# Suites that do not range over m ignore max_m.
 SUITES = {
-    "lr-oracle": lambda max_m, max_n: verify_lr_oracle(max_n or 8),
-    "cosets": lambda max_m, max_n: verify_cosets(max_n or 6),
-    "dimensions-first": lambda max_m, max_n:
-        verify_dimensions("first", max_m or 4, max_n or 5),
-    "dimensions-second": lambda max_m, max_n:
-        verify_dimensions("second", max_m or 5, max_n or 6),
-    "labelling-equivalence": lambda max_m, max_n:
-        verify_labelling_equivalence(max_m or 4, max_n or 4),
-    "stabilizers": lambda max_m, max_n: verify_stabilizers(max_n or 6),
-    "length-lemma": lambda max_m, max_n: verify_length_lemma(max_n or 6),
+    "lr-oracle": (lambda _, max_n: verify_lr_oracle(max_n), 1, 8),
+    "cosets": (lambda _, max_n: verify_cosets(max_n), 1, 6),
+    "dimensions-first": (lambda max_m, max_n:
+                         verify_dimensions("first", max_m, max_n), 4, 5),
+    "dimensions-second": (lambda max_m, max_n:
+                          verify_dimensions("second", max_m, max_n), 5, 6),
+    "labelling-equivalence": (verify_labelling_equivalence, 4, 4),
+    "stabilizers": (lambda _, max_n: verify_stabilizers(max_n), 1, 6),
+    "length-lemma": (lambda _, max_n: verify_length_lemma(max_n), 1, 6),
 }
 
 
 def run_suite(name: str, max_m: int | None = None,
               max_n: int | None = None) -> dict:
+    """Run one suite; a bound left as None takes the suite's default."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    report = SUITES[name](max_m, max_n)
+    check, default_m, default_n = SUITES[name]
+    max_m = default_m if max_m is None else max_m
+    max_n = default_n if max_n is None else max_n
+    if max_m < 1 or max_n < 1:
+        raise ValueError("bounds must be at least 1")
+    report = check(max_m, max_n)
     report["suite"] = name
     return report

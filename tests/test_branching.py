@@ -1,13 +1,13 @@
 import pytest
 
-from wreathbranch.branching import (branch_first, branch_second, col_tuple,
+from wreathbranch.branching import (branch_first, branch_second,
                                     enumerate_good_labellings,
                                     filtration_multiplicities,
-                                    labelling_coefficient, mat_lambda,
-                                    row_tuple, verify_branch_dimensions,
+                                    labelling_coefficient,
                                     wreath_specht_dimension, young_layer)
 from wreathbranch.shapes import (enumerate_partitions, multipartitions,
                                  removable_boxes, specht_dimension)
+from wreathbranch.verify import verify_dimensions
 
 LAM36 = ((2,), (1, 1), (1, 1))
 NU36 = ((3,), (2, 1))
@@ -66,41 +66,10 @@ def test_good_labellings_component_mismatch():
         enumerate_good_labellings(layer, ((1,),), NU36)
 
 
-def test_mat_lambda_worked_example():
-    layer = young_layer(3)
-    mats = mat_lambda(layer.adjacency, (2, 2, 2), (3, 3))
-    displayed = (
-        (((2,),), ()),
-        (((1,),), ((1,),)),
-        ((), ((1, 1),)),
-    )
-    assert displayed in mats
-    labellings = enumerate_good_labellings(layer, LAM36, NU36)
-    assert len(mats) == len(labellings)
-
-
-def test_mat_lambda_all_zero():
-    assert mat_lambda(((0, 0), (0, 0)), (0, 0), (0, 0)) == [
-        (((), ()), ((), ()))]
-    assert mat_lambda(((1,),), (1,), (2,)) == []
-
-
-def test_row_and_col_tuples():
-    displayed = (
-        (((2,),), ()),
-        (((1,),), ((1,),)),
-        ((), ((1, 1),)),
-    )
-    assert row_tuple(displayed, 0) == ((2,),)
-    assert row_tuple(displayed, 1) == ((1,), (1,))
-    assert col_tuple(displayed, 1) == ((1,), (1, 1))
-    assert row_tuple((((), ()),), 0) == ()
-
-
 def test_filtration_identity_matrix():
     eye = ((1, 0), (0, 1))
     for eta in [((2,), (1,)), ((1, 1), ()), ((3, 1), (2, 2))]:
-        assert filtration_multiplicities(eye, eta, 2) == {eta: 1}
+        assert filtration_multiplicities(eye, eta) == {eta: 1}
 
 
 def test_branch_first_worked_example():
@@ -147,12 +116,31 @@ def test_wreath_specht_dimension():
         assert wreath_specht_dimension(1, (lam,)) == specht_dimension(lam)
 
 
+def test_lambda_components_must_be_partitions():
+    bad = ((1, 2), (), ())
+    with pytest.raises(ValueError, match="not a partition"):
+        branch_first(3, bad)
+    with pytest.raises(ValueError, match="not a partition"):
+        branch_first(3, bad, method="labellings")
+    with pytest.raises(ValueError, match="not a partition"):
+        branch_second(3, 3, bad)
+    with pytest.raises(ValueError, match="not a partition"):
+        wreath_specht_dimension(3, bad)
+    with pytest.raises(ValueError, match="not a partition"):
+        branch_first(2, ((True,), ()))
+
+
 def test_dimension_identities_small():
-    assert verify_branch_dimensions(3, 3, "first")["failures"] == []
-    assert verify_branch_dimensions(2, 4, "second")["failures"] == []
-    assert verify_branch_dimensions(2, 1, "second")["failures"] == []
+    assert verify_dimensions("first", 3, 3)["failures"] == []
+    assert verify_dimensions("second", 2, 4)["failures"] == []
+    assert verify_dimensions("second", 2, 1)["failures"] == []
     with pytest.raises(ValueError):
-        verify_branch_dimensions(2, 2, "sideways")
+        verify_dimensions("sideways", 2, 2)
+
+
+def test_unknown_rule_raises_before_any_work():
+    with pytest.raises(ValueError, match="unknown rule"):
+        verify_dimensions("sideways", 1, 1)
 
 
 def test_branch_first_worked_dimension_total():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wreathbranch import cli
+from wreathbranch import cli, verify
 
 
 def run(capsys, *argv):
@@ -154,6 +154,46 @@ def test_computation_error_exit_code(capsys):
     payload = json.loads(out)
     assert payload["status"] == "error"
     assert payload["code"] == "computation-error"
+
+
+@pytest.mark.parametrize("argv", [
+    ("dim", "--partition", "[true]"),
+    ("branch-first", "-m", "3", "--lambda", "[[true],[],[]]"),
+])
+def test_bool_parts_are_computation_errors(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 2
+    assert json.loads(out)["code"] == "computation-error"
+
+
+def test_verify_default_bounds(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "length-lemma", "--json")
+    assert code == 0
+    assert json.loads(out)["checked"] == 2083
+
+
+@pytest.mark.parametrize("argv", [
+    ("--suite", "length-lemma", "--max-n", "0"),
+    ("--suite", "length-lemma", "--max-n", "-1"),
+    ("--suite", "dimensions-first", "--max-m", "0"),
+])
+def test_verify_bounds_below_one_are_rejected(capsys, argv):
+    code, out, _ = run(capsys, "verify", *argv, "--json")
+    assert code == 2
+    assert json.loads(out)["code"] == "computation-error"
+
+
+def test_verify_oracle_bounds_checked_before_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the bound check")
+
+    monkeypatch.setattr(verify, "schur_product_oracle", no_work)
+    monkeypatch.setattr(verify, "brute_force_double_cosets", no_work)
+    for suite, bound in (("lr-oracle", "11"), ("cosets", "8")):
+        code, out, _ = run(capsys, "verify", "--suite", suite,
+                           "--max-n", bound, "--json")
+        assert code == 2
+        assert "oracle bound exceeded" in json.loads(out)["message"]
 
 
 def test_bad_composition_syntax(capsys):

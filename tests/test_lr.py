@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from wreathbranch.lr import (lr_coefficient, lr_multi, schur_monomials,
-                             schur_product_oracle)
+from wreathbranch.lr import lr_coefficient, lr_multi
 from wreathbranch.shapes import enumerate_partitions, specht_dimension
+from wreathbranch.verify import schur_monomials, schur_product_oracle
 
 
 def test_lr_coefficient_examples():

@@ -1,0 +1,42 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import wreathbranch
+
+
+def test_every_exported_name_resolves():
+    for name in wreathbranch.__all__:
+        assert hasattr(wreathbranch, name), name
+
+
+def test_oracles_are_not_exported():
+    for name in ("schur_product_oracle", "brute_force_double_cosets",
+                 "young_subgroup"):
+        assert name not in wreathbranch.__all__
+        assert not hasattr(wreathbranch, name)
+
+
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    """Run `code` under ``python -O``, which strips assert statements."""
+    src = Path(wreathbranch.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_hook_divisibility_is_checked_under_optimize():
+    done = run_optimized("import wreathbranch.shapes as s\n"
+                         "s.factorial = lambda n: 7\n"
+                         "s.specht_dimension((2, 1))\n")
+    assert done.returncode != 0
+    assert "RuntimeError" in done.stderr
+
+
+def test_oracle_partition_check_survives_optimize():
+    done = run_optimized("import wreathbranch.verify as v\n"
+                         "v.schur_monomials = lambda shape, nvars: {(0, 1): 1}\n"
+                         "v.schur_product_oracle((1,), (1,))\n")
+    assert done.returncode != 0
+    assert "RuntimeError" in done.stderr

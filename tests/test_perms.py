@@ -3,13 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from wreathbranch.perms import (act_on_tableau, all_perms,
-                                brute_force_double_cosets, compose, descents,
+from wreathbranch.perms import (act_on_tableau, all_perms, compose, descents,
                                 double_coset_reps, enumerate_weakly_increasing,
                                 from_cycles, identity, inverse, length,
                                 parse_cycles, rho_cosets, standard_tableau,
-                                to_cycles, young_subgroup)
-from wreathbranch.verify import positive_compositions
+                                to_cycles)
+from wreathbranch.verify import (brute_force_double_cosets,
+                                 positive_compositions, young_subgroup)
 
 
 def test_length_and_descents():
@@ -142,6 +142,13 @@ def test_brute_force_double_cosets_basics():
         brute_force_double_cosets((8,), (8,))
 
 
+def test_positive_compositions():
+    assert list(positive_compositions(0)) == [()]
+    comps = list(positive_compositions(4))
+    assert len(set(comps)) == len(comps) == 8
+    assert all(sum(c) == 4 and min(c) >= 1 for c in comps)
+
+
 def test_brute_force_is_deterministic():
     one = brute_force_double_cosets((2, 1), (1, 2))
     two = brute_force_double_cosets((2, 1), (1, 2))
@@ -152,7 +159,7 @@ def test_minimal_length_coset_elements_give_weakly_increasing_rows():
     for n in range(1, 5):
         comps = list(positive_compositions(n))
         for alpha in comps:
-            sa = young_subgroup(alpha, n)
+            sa = young_subgroup(alpha)
             for sigma in all_perms(n):
                 coset = [compose(sigma, v) for v in sa]
                 if length(sigma) != min(length(p) for p in coset):
@@ -166,7 +173,7 @@ def test_minimal_length_property_distinct_entries_n5():
     n = 5
     gamma = (1,) * n
     for alpha in positive_compositions(n):
-        sa = young_subgroup(alpha, n)
+        sa = young_subgroup(alpha)
         std = standard_tableau(alpha, gamma)
         for sigma in all_perms(n):
             coset = [compose(sigma, v) for v in sa]
