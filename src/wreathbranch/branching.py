@@ -15,7 +15,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .lr import lr_multi
-from .shapes import (Multipartition, Partition, check_partition, compositions,
+from .shapes import (Multipartition, Partition, check_partition,
                      enumerate_partitions, multipartitions, removable_boxes,
                      size_composition, specht_dimension)
 
@@ -47,14 +47,6 @@ def young_layer(m: int) -> YoungLayer:
                             for j in range(len(lower)))
                       for i in range(len(upper)))
     return YoungLayer(m, upper, lower, edges, adjacency)
-
-
-class GoodLabelling(NamedTuple):
-    """An edge labelling of a relabelled layer, aligned with layer.edges."""
-    layer: YoungLayer
-    lam: Multipartition
-    nu: Multipartition
-    labels: tuple[Partition, ...]
 
 
 def _size_flows(support, row_sums, col_sums):
@@ -95,10 +87,11 @@ def _row_choices(support_row, total, budgets):
 
 
 def enumerate_good_labellings(layer: YoungLayer, lam: Multipartition,
-                              nu: Multipartition) -> list[GoodLabelling]:
+                              nu: Multipartition) -> list[tuple]:
     """All partition labellings of the edges with matching sizes at nodes.
 
-    At each upper node the incident label sizes must sum to the size of
+    Each labelling is a tuple of labels aligned with layer.edges.  At
+    each upper node the incident label sizes must sum to the size of
     the corresponding component of `lam`, and likewise for `nu` below.
     """
     lam = tuple(tuple(p) for p in lam)
@@ -110,28 +103,28 @@ def enumerate_good_labellings(layer: YoungLayer, lam: Multipartition,
     out = []
     for flow in _size_flows(layer.adjacency, row_sums, col_sums):
         sizes = [flow[i][j] for (i, j) in layer.edges]
-        for labels in itertools.product(*(enumerate_partitions(s)
-                                          for s in sizes)):
-            out.append(GoodLabelling(layer, lam, nu, labels))
+        out.extend(itertools.product(*(enumerate_partitions(s)
+                                       for s in sizes)))
     return out
 
 
-def labelling_coefficient(gl: GoodLabelling) -> int:
+def labelling_coefficient(layer: YoungLayer, lam: Multipartition,
+                          nu: Multipartition, labels) -> int:
     """Product over all nodes of the generalized LR coefficient.
 
-    At an upper node the incident edge labels are taken in ascending
-    order of the lower endpoint, and vice versa; empty labels are kept
-    (they only matter through the degree filter).
+    `labels` is aligned with layer.edges.  At an upper node the incident
+    edge labels are taken in ascending order of the lower endpoint, and
+    vice versa; empty labels are kept (they only matter through the
+    degree filter).
     """
-    layer = gl.layer
     coeff = 1
-    for i, part in enumerate(gl.lam):
-        incident = [lbl for (a, _), lbl in zip(layer.edges, gl.labels) if a == i]
+    for i, part in enumerate(lam):
+        incident = [lbl for (a, _), lbl in zip(layer.edges, labels) if a == i]
         coeff *= lr_multi(part, [p for p in incident if p != ()])
         if coeff == 0:
             return 0
-    for j, part in enumerate(gl.nu):
-        incident = [lbl for (_, b), lbl in zip(layer.edges, gl.labels) if b == j]
+    for j, part in enumerate(nu):
+        incident = [lbl for (_, b), lbl in zip(layer.edges, labels) if b == j]
         coeff *= lr_multi(part, [p for p in incident if p != ()])
         if coeff == 0:
             return 0
@@ -147,17 +140,14 @@ def _nonzero_row_fillings(A_row, eta_i: Partition):
     """
     t = len(A_row)
     slots = [(j, k) for j in range(t) for k in range(A_row[j])]
-    target = sum(eta_i)
-    for sizes in compositions(target, len(slots)):
-        pools = [enumerate_partitions(s) for s in sizes]
-        for parts in itertools.product(*pools):
-            coeff = lr_multi(eta_i, [p for p in parts if p != ()])
-            if coeff == 0:
-                continue
-            cells = [[] for _ in range(t)]
-            for (j, _), p in zip(slots, parts):
-                cells[j].append(p)
-            yield tuple(tuple(c) for c in cells), coeff
+    for parts in multipartitions(sum(eta_i), len(slots)):
+        coeff = lr_multi(eta_i, [p for p in parts if p != ()])
+        if coeff == 0:
+            continue
+        cells = [[] for _ in range(t)]
+        for (j, _), p in zip(slots, parts):
+            cells[j].append(p)
+        yield tuple(tuple(c) for c in cells), coeff
 
 
 def filtration_multiplicities(A, eta: Multipartition) -> dict:
@@ -206,9 +196,12 @@ def _column_expansion(col_parts) -> dict:
     return {k: v for k, v in cm.items() if v}
 
 
-def _check_lambda(lam, components: int) -> Multipartition:
-    """`lam` as a tuple of `components` partitions, or ValueError."""
+def _check_lambda(m: int, lam) -> Multipartition:
+    """`lam` as one partition per partition of m (m >= 1), or ValueError."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
     lam = tuple(lam)
+    components = len(enumerate_partitions(m))
     if len(lam) != components:
         raise ValueError(f"lambda must have {components} components")
     return tuple(map(check_partition, lam))
@@ -221,16 +214,17 @@ def branch_first(m: int, lam: Multipartition, method: str = "matrices") -> dict:
     multiplicities.  ``method`` selects the matrix-sum formula or the
     good-labelling sum; both give the same map.
     """
+    lam = _check_lambda(m, lam)
     layer = young_layer(m)
-    lam = _check_lambda(lam, len(layer.upper))
     if method == "matrices":
         return filtration_multiplicities(layer.adjacency, lam)
     if method == "labellings":
         n = sum(map(sum, lam))
         result: dict[Multipartition, int] = {}
         for nu in multipartitions(n, len(layer.lower)):
-            total = sum(labelling_coefficient(gl)
-                        for gl in enumerate_good_labellings(layer, lam, nu))
+            total = sum(labelling_coefficient(layer, lam, nu, labels)
+                        for labels in enumerate_good_labellings(layer, lam,
+                                                                nu))
             if total:
                 result[nu] = total
         return result
@@ -239,28 +233,26 @@ def branch_first(m: int, lam: Multipartition, method: str = "matrices") -> dict:
 
 def wreath_specht_dimension(m: int, lam: Multipartition) -> int:
     """Dimension of the Specht module of S_m wr S_n indexed by `lam`."""
-    upper = enumerate_partitions(m)
-    lam = _check_lambda(lam, len(upper))
+    lam = _check_lambda(m, lam)
     n = sum(map(sum, lam))
     dim = factorial(n)
-    for mu, part in zip(upper, lam):
+    for mu, part in zip(enumerate_partitions(m), lam):
         dim //= factorial(sum(part))
         dim *= specht_dimension(mu) ** sum(part) * specht_dimension(part)
     return dim
 
 
-def branch_second(m: int, n: int, lam: Multipartition) -> dict:
+def branch_second(m: int, lam: Multipartition) -> dict:
     """Multiplicities of the restriction from S_m wr S_n to S_m wr S_{n-1}.
 
-    One entry per single-box removal: removing a box from component i
-    contributes the hook-length dimension of the i-th partition of m.
+    Here n = |lam| must be at least 1.  One entry per single-box
+    removal: removing a box from component i contributes the
+    hook-length dimension of the i-th partition of m.
     """
-    if n < 1:
+    lam = _check_lambda(m, lam)
+    if not any(lam):
         raise ValueError("n must be at least 1")
     upper = enumerate_partitions(m)
-    lam = _check_lambda(lam, len(upper))
-    if sum(map(sum, lam)) != n:
-        raise ValueError("lambda must be a multipartition of n")
     result: dict[Multipartition, int] = {}
     for i, part in enumerate(lam):
         if not part:

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from . import branching, perms, shapes, tableaux, verify
+from . import branching, perms, shapes, verify
 from .lr import lr_coefficient, lr_multi
 from .shapes import concat_parts
 
@@ -59,10 +59,7 @@ def parse_composition(text: str) -> shapes.Composition:
     inner = text[1:-1].strip()
     if not inner:
         return ()
-    parts = tuple(int(v) for v in inner.split(","))
-    if any(p < 0 for p in parts):
-        raise ValueError(f"negative part in composition {text!r}")
-    return parts
+    return shapes.check_composition(int(v) for v in inner.split(","))
 
 
 def _mp_sort_key(mp):
@@ -199,11 +196,12 @@ def _run(args) -> tuple[dict, str, int]:
         lam = parse_multipartition(args.lam)
         nu = parse_multipartition(args.nu)
         entries = []
-        for gl in branching.enumerate_good_labellings(layer, lam, nu):
+        for labels in branching.enumerate_good_labellings(layer, lam, nu):
             entries.append({
                 "labels": [{"upper": i + 1, "lower": j + 1, "label": list(lbl)}
-                           for (i, j), lbl in zip(layer.edges, gl.labels)],
-                "coefficient": branching.labelling_coefficient(gl),
+                           for (i, j), lbl in zip(layer.edges, labels)],
+                "coefficient": branching.labelling_coefficient(layer, lam, nu,
+                                                               labels),
             })
         payload = {"m": args.m, "lambda": [list(p) for p in lam],
                    "nu": [list(p) for p in nu], "labellings": entries,
@@ -238,7 +236,7 @@ def _run(args) -> tuple[dict, str, int]:
     if cmd == "branch-second":
         lam = parse_multipartition(args.lam)
         n = sum(map(sum, lam))
-        mults = branching.branch_second(args.m, n, lam)
+        mults = branching.branch_second(args.m, lam)
         payload = _mult_payload(args.m, n, "second", lam, mults)
         return payload, _mult_human(payload), 0
 
@@ -251,8 +249,8 @@ def _run(args) -> tuple[dict, str, int]:
     if cmd == "cosets":
         gamma = parse_composition(args.gamma)
         alpha = parse_composition(args.alpha)
-        system = perms.double_coset_reps(gamma, alpha)
-        reps = [perms.to_cycles(p) for p in system.reps]
+        reps = [perms.to_cycles(p)
+                for p in perms.double_coset_reps(gamma, alpha)]
         payload = {"gamma": list(gamma), "alpha": list(alpha),
                    "count": len(reps), "reps": reps}
         return payload, "\n".join(reps), 0

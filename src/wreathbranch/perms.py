@@ -4,19 +4,18 @@ A permutation is a tuple of images: ``p[i-1]`` is the image of i.  We
 use the right-action convention throughout, so the product ``a*b`` acts
 as "apply a, then b" and is written ``compose(a, b)``.
 
-Cycle notation is parsed and printed with cycles applied left to right,
-each cycle starting at its smallest moved point; the identity prints as
-``e``.
+Cycle notation is printed with cycles applied left to right, each
+cycle starting at its smallest moved point; the identity prints as
+``e``.  A filling of a composition shape is kept flat, in row-major
+order.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from .shapes import Composition
-from .tableaux import Rows, shape_of
+from .shapes import Composition, check_composition
 
 Perm = tuple[int, ...]
 
@@ -61,20 +60,6 @@ def from_cycles(cycles, n: int) -> Perm:
     return tuple(p)
 
 
-def parse_cycles(text: str, n: int) -> Perm:
-    """Parse cycle notation like ``(1,12,3,6)(5,7,13)``; ``e`` is identity."""
-    text = text.strip()
-    if text == "e" or text == "":
-        return identity(n)
-    if not re.fullmatch(r"(\(\d+(,\d+)*\))+", text.replace(" ", "")):
-        raise ValueError(f"bad cycle notation: {text!r}")
-    cycles = [[int(v) for v in grp.split(",")]
-              for grp in re.findall(r"\(([^)]*)\)", text)]
-    if any(v < 1 or v > n for cyc in cycles for v in cyc):
-        raise ValueError(f"cycle entry out of range for degree {n}")
-    return from_cycles(cycles, n)
-
-
 def to_cycles(p: Perm) -> str:
     """Cycle notation with cycles sorted by their smallest moved point."""
     seen = set()
@@ -93,56 +78,29 @@ def to_cycles(p: Perm) -> str:
     return "".join(out) if out else "e"
 
 
-def act_on_tableau(rows: Rows, sigma: Perm) -> Rows:
-    """Move the entry in box i to box (i)sigma, boxes numbered row-major.
-
-    This is a right action: acting by sigma then pi equals acting by
-    compose(sigma, pi).
-    """
-    flat = [e for row in rows for e in row]
-    if len(flat) != len(sigma):
-        raise ValueError("permutation degree does not match tableau size")
-    moved = [0] * len(flat)
-    for i, e in enumerate(flat):
-        moved[sigma[i] - 1] = e
-    return _reshape(moved, shape_of(rows))
-
-
-def _reshape(flat, shape: Composition) -> Rows:
-    rows = []
-    pos = 0
-    for part in shape:
-        rows.append(tuple(flat[pos:pos + part]))
-        pos += part
-    return tuple(rows)
-
-
-def standard_tableau(alpha: Composition, gamma: Composition) -> Rows:
-    """Shape-alpha tableau filled row-major with gamma_1 1s, gamma_2 2s, ..."""
-    if sum(alpha) != sum(gamma):
-        raise ValueError("shape and type have different sizes")
-    flat = [v + 1 for v, count in enumerate(gamma) for _ in range(count)]
-    return _reshape(flat, tuple(alpha))
+def standard_filling(gamma: Composition) -> tuple[int, ...]:
+    """The filling with gamma_1 1s, then gamma_2 2s, and so on."""
+    return tuple(v + 1 for v, count in enumerate(gamma) for _ in range(count))
 
 
 def enumerate_weakly_increasing(alpha: Composition,
-                                gamma: Composition) -> list[Rows]:
-    """All tableaux of shape alpha and type gamma with weakly increasing rows.
+                                gamma: Composition) -> list[tuple[int, ...]]:
+    """All fillings of shape alpha and type gamma with weakly increasing rows.
 
-    Order: lexicographic on the row-major filling.
+    Order: lexicographic.
     """
-    alpha = tuple(alpha)
-    gamma = tuple(gamma)
+    alpha = check_composition(alpha)
+    gamma = check_composition(gamma)
     if sum(alpha) != sum(gamma):
         raise ValueError("shape and type have different sizes")
     remaining = list(gamma)
-    results: list[Rows] = []
+    results: list[tuple[int, ...]] = []
     flat: list[int] = []
     row_starts = set(itertools.accumulate((0,) + alpha[:-1]))
 
     def backtrack(pos: int):
         if pos == sum(alpha):
-            results.append(_reshape(flat, alpha))
+            results.append(tuple(flat))
             return
         lo = 1 if pos in row_starts else flat[-1]
         for v in range(lo, len(gamma) + 1):
@@ -158,30 +116,24 @@ def enumerate_weakly_increasing(alpha: Composition,
     return results
 
 
-class CosetSystem(NamedTuple):
-    gamma: Composition
-    alpha: Composition
-    reps: tuple[Perm, ...]
-
-
-def double_coset_reps(gamma: Composition, alpha: Composition) -> CosetSystem:
+def double_coset_reps(gamma: Composition,
+                      alpha: Composition) -> tuple[Perm, ...]:
     """A complete non-redundant system of (S_gamma, S_alpha)-double cosets.
 
-    One representative per weakly-increasing-row tableau of shape alpha
-    and type gamma: the stable permutation carrying the row-major
-    standard filling onto that tableau.
+    One representative per weakly-increasing-row filling of shape alpha
+    and type gamma: the stable permutation carrying the standard filling
+    onto that filling.
     """
-    gamma = tuple(gamma)
-    alpha = tuple(alpha)
-    std = [e for row in standard_tableau(alpha, gamma) for e in row]
+    gamma = check_composition(gamma)
+    alpha = check_composition(alpha)
+    std = standard_filling(gamma)
     reps = []
-    for tab in enumerate_weakly_increasing(alpha, gamma):
-        flat = [e for row in tab for e in row]
+    for flat in enumerate_weakly_increasing(alpha, gamma):
         targets: dict[int, list[int]] = {}
         for pos in range(len(flat) - 1, -1, -1):
             targets.setdefault(flat[pos], []).append(pos + 1)
         reps.append(tuple(targets[v].pop() for v in std))
-    return CosetSystem(gamma, alpha, tuple(reps))
+    return tuple(reps)
 
 
 def rho_cosets(sizes: Composition) -> list[tuple[int, Perm]]:
@@ -192,6 +144,7 @@ def rho_cosets(sizes: Composition) -> list[tuple[int, Perm]]:
     (b, n, n-1, ..., b+1), or the identity when b = n.  Returns the
     pairs (i, rep) with i ascending; the reps are pairwise distinct.
     """
+    sizes = check_composition(sizes)
     n = sum(sizes)
     if n < 1:
         raise ValueError("need a positive total size")

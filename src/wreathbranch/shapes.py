@@ -38,6 +38,14 @@ def check_partition(parts) -> Partition:
     return parts
 
 
+def check_composition(parts) -> Composition:
+    """`parts` as a tuple, or ValueError unless its parts are ints >= 0."""
+    parts = tuple(parts)
+    if any(type(p) is not int or p < 0 for p in parts):
+        raise ValueError(f"not a composition: {parts}")
+    return parts
+
+
 @cache
 def enumerate_partitions(m: int) -> tuple[Partition, ...]:
     """All partitions of m in strictly descending lexicographic order.
@@ -97,14 +105,6 @@ def specht_dimension(lam: Partition) -> int:
     if rem:
         raise RuntimeError(f"hook product of {lam} does not divide n!")
     return dim
-
-
-def remove_part_at(gamma: Composition, i: int) -> Composition:
-    """Decrement the i-th part (1-based) of `gamma`, keeping its length."""
-    gamma = tuple(gamma)
-    if not 1 <= i <= len(gamma) or gamma[i - 1] == 0:
-        raise ValueError("part not removable")
-    return gamma[:i - 1] + (gamma[i - 1] - 1,) + gamma[i:]
 
 
 def concat_parts(components) -> Composition:

@@ -1,7 +1,6 @@
-"""Young and skew tableaux: semistandardness, reading words, enumeration.
+"""Skew semistandard tableaux and lattice words, for the LR rule.
 
-A tableau is a tuple of row tuples; the shape is implicit in the row
-lengths (empty rows are allowed).  A skew tableau is described by an
+A tableau is a tuple of row tuples.  A skew tableau is described by an
 outer partition, an inner composition removing a prefix of each row, and
 the rows of remaining entries; row i of the filling occupies absolute
 columns inner[i]+1 .. outer[i].
@@ -14,53 +13,12 @@ from .shapes import Composition, Partition
 Rows = tuple[tuple[int, ...], ...]
 
 
-def shape_of(rows: Rows) -> Composition:
-    return tuple(len(r) for r in rows)
-
-
 def skew_fits(outer: Partition, inner: Composition) -> bool:
     """True iff the inner diagram lies wholly inside the outer one."""
     inner = tuple(inner)
     if len(inner) > len(outer):
         return False
     return all(inner[i] <= outer[i] for i in range(len(inner)))
-
-
-def content_type(rows: Rows) -> Composition:
-    """The composition counting occurrences of each entry, up to the max."""
-    entries = [e for row in rows for e in row]
-    if not entries:
-        return ()
-    top = max(entries)
-    counts = [0] * top
-    for e in entries:
-        counts[e - 1] += 1
-    return tuple(counts)
-
-
-def _column_entries(rows: Rows, inner):
-    """Map absolute column -> entries from top row down (gaps skipped)."""
-    cols: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        off = inner[i] if i < len(inner) else 0
-        for j, e in enumerate(row):
-            cols.setdefault(off + j + 1, []).append(e)
-    return cols
-
-
-def is_semistandard(rows: Rows, inner: Composition = ()) -> bool:
-    """Rows weakly increase; columns strictly increase downward.
-
-    Column comparisons use absolute column positions, so entries
-    separated by a gap in a skew column are still compared.
-    """
-    for row in rows:
-        if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
-            return False
-    for entries in _column_entries(rows, tuple(inner)).values():
-        if any(entries[k] >= entries[k + 1] for k in range(len(entries) - 1)):
-            return False
-    return True
 
 
 def reverse_reading_word(rows: Rows) -> tuple[int, ...]:
@@ -136,12 +94,3 @@ def enumerate_skew_ssyt(outer: Partition, inner: Composition,
     backtrack(0)
     return results
 
-
-def render(rows: Rows, inner: Composition = ()) -> str:
-    """One text line per row, with '.' marking removed inner boxes."""
-    inner = tuple(inner)
-    lines = []
-    for i, row in enumerate(rows):
-        off = inner[i] if i < len(inner) else 0
-        lines.append(" ".join(["."] * off + [str(e) for e in row]))
-    return "\n".join(lines)

@@ -18,7 +18,7 @@ from .branching import branch_first, branch_second, wreath_specht_dimension
 from .lr import lr_coefficient
 from .perms import (Perm, all_perms, compose, descents, double_coset_reps,
                     from_cycles, inverse, length, rho_cosets,
-                    standard_tableau, to_cycles)
+                    standard_filling, to_cycles)
 from .shapes import (Composition, Partition, compositions,
                      enumerate_partitions, multipartitions)
 
@@ -215,7 +215,7 @@ def verify_cosets(max_n: int = 6) -> dict:
                 if sum(len(c) for c in cosets) != factorial(n):
                     failures.append(f"coset sizes of ({gamma},{alpha}) "
                                     "do not sum to n!")
-                reps = double_coset_reps(gamma, alpha).reps
+                reps = double_coset_reps(gamma, alpha)
                 hit = set()
                 for rep in reps:
                     owners = [k for k, c in enumerate(cosets) if rep in c]
@@ -256,18 +256,18 @@ def _verify_rho(max_n: int) -> dict:
 
 
 def verify_stabilizers(max_n: int = 6) -> dict:
-    """Stabilizer of the acted standard tableau equals the conjugated subgroup.
+    """Stabilizer of the acted standard filling equals the conjugated subgroup.
 
-    The stabilizer under the box action depends only on the flattened
-    entries, never on the row shape, so a single shape per (gamma, sigma)
-    pair covers all shapes.  Both sides are materialized as sets.
+    The stabilizer under the box action depends only on the flat filling,
+    never on the row shape, so one filling per (gamma, sigma) pair covers
+    all shapes.  Both sides are materialized as sets.
     """
     checked = 0
     failures = []
     for n in range(1, max_n + 1):
         for gamma in positive_compositions(n):
             sg = young_subgroup(gamma)
-            flat0 = [e for row in standard_tableau((n,), gamma) for e in row]
+            flat0 = standard_filling(gamma)
             for sigma in all_perms(n):
                 sinv = inverse(sigma)
                 flat = [0] * n
@@ -345,7 +345,7 @@ def verify_dimensions(rule: str, max_m: int, max_n: int) -> dict:
             for lam in multipartitions(n, r):
                 expected = wreath_specht_dimension(m, lam)
                 mults = (branch_first(m, lam) if rule == "first"
-                         else branch_second(m, n, lam))
+                         else branch_second(m, lam))
                 total = sum(mult * lower_dim(nu) for nu, mult in mults.items())
                 checked += 1
                 if total != expected:

@@ -1,12 +1,14 @@
-"""Independent brute-force oracles used by the tests.
+"""Independent brute-force oracles and reference helpers used by the tests.
 
-Everything here recomputes quantities by naive enumeration, deliberately
-avoiding the code paths under test.
+Everything here recomputes quantities by naive enumeration, or works on
+tableaux as tuples of rows, deliberately avoiding the code paths under
+test.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 
 def partitions_by_filter(m: int) -> list[tuple[int, ...]]:
@@ -82,3 +84,91 @@ def naive_skew_ssyt(outer, inner, type_):
                                   for j in range(outer[i] - inner[i])))
             out.append(tuple(rows))
     return out
+
+
+def content_type(rows) -> tuple[int, ...]:
+    """The composition counting occurrences of each entry, up to the max."""
+    entries = [e for row in rows for e in row]
+    if not entries:
+        return ()
+    counts = [0] * max(entries)
+    for e in entries:
+        counts[e - 1] += 1
+    return tuple(counts)
+
+
+def _column_entries(rows, inner):
+    """Map absolute column -> entries from top row down (gaps skipped)."""
+    cols: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        off = inner[i] if i < len(inner) else 0
+        for j, e in enumerate(row):
+            cols.setdefault(off + j + 1, []).append(e)
+    return cols
+
+
+def is_semistandard(rows, inner=()) -> bool:
+    """Rows weakly increase; columns strictly increase downward.
+
+    Column comparisons use absolute column positions, so entries
+    separated by a gap in a skew column are still compared.
+    """
+    for row in rows:
+        if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
+            return False
+    for entries in _column_entries(rows, tuple(inner)).values():
+        if any(entries[k] >= entries[k + 1] for k in range(len(entries) - 1)):
+            return False
+    return True
+
+
+def _reshape(flat, shape):
+    rows = []
+    pos = 0
+    for part in shape:
+        rows.append(tuple(flat[pos:pos + part]))
+        pos += part
+    return tuple(rows)
+
+
+def standard_tableau(alpha, gamma):
+    """Shape-alpha tableau filled row-major with gamma_1 1s, gamma_2 2s, ..."""
+    if sum(alpha) != sum(gamma):
+        raise ValueError("shape and type have different sizes")
+    flat = [v + 1 for v, count in enumerate(gamma) for _ in range(count)]
+    return _reshape(flat, alpha)
+
+
+def act_on_tableau(rows, sigma):
+    """Move the entry in box i to box (i)sigma, boxes numbered row-major.
+
+    This is a right action: acting by sigma then pi equals acting by
+    ``wreathbranch.perms.compose(sigma, pi)``.
+    """
+    flat = [e for row in rows for e in row]
+    if len(flat) != len(sigma):
+        raise ValueError("permutation degree does not match tableau size")
+    moved = [0] * len(flat)
+    for i, e in enumerate(flat):
+        moved[sigma[i] - 1] = e
+    return _reshape(moved, [len(row) for row in rows])
+
+
+def parse_cycles(text: str, n: int) -> tuple[int, ...]:
+    """Parse cycle notation like ``(1,12,3,6)(5,7,13)``; ``e`` is identity.
+
+    Cycles are applied left to right.
+    """
+    text = text.replace(" ", "")
+    perm = list(range(1, n + 1))
+    if text in ("e", ""):
+        return tuple(perm)
+    if not re.fullmatch(r"(\(\d+(,\d+)*\))+", text):
+        raise ValueError(f"bad cycle notation: {text!r}")
+    for group in re.findall(r"\(([^)]*)\)", text):
+        cyc = [int(v) for v in group.split(",")]
+        if any(v < 1 or v > n for v in cyc):
+            raise ValueError(f"cycle entry out of range for degree {n}")
+        step = {cyc[i]: cyc[(i + 1) % len(cyc)] for i in range(len(cyc))}
+        perm = [step.get(v, v) for v in perm]
+    return tuple(perm)

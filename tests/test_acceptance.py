@@ -94,7 +94,7 @@ def test_acceptance_8_m1_degeneration():
     for n in range(1, 9):
         for lam in enumerate_partitions(n):
             checked += 1
-            got = branch_second(1, n, (lam,))
+            got = branch_second(1, (lam,))
             want = {(d,): 1 for d in removable_boxes(lam)}
             if got != want:
                 bad.append(lam)

@@ -45,9 +45,9 @@ def test_good_labellings_worked_example():
     assert len(labellings) == 4
     # edge sizes are forced to 2,1,1,2; displayed labelling appears once
     displayed = ((2,), (1,), (1,), (1, 1))
-    labels = [gl.labels for gl in labellings]
-    assert displayed in labels
-    coeffs = {gl.labels: labelling_coefficient(gl) for gl in labellings}
+    assert displayed in labellings
+    coeffs = {labels: labelling_coefficient(layer, LAM36, NU36, labels)
+              for labels in labellings}
     assert coeffs[displayed] == 1
     assert sum(coeffs.values()) == 1  # the other three vanish
 
@@ -55,9 +55,9 @@ def test_good_labellings_worked_example():
 def test_good_labellings_empty_multipartition():
     layer = young_layer(3)
     empties = enumerate_good_labellings(layer, ((), (), ()), ((), ()))
-    assert len(empties) == 1
-    assert empties[0].labels == ((), (), (), ())
-    assert labelling_coefficient(empties[0]) == 1
+    assert empties == [((), (), (), ())]
+    assert labelling_coefficient(layer, ((), (), ()), ((), ()),
+                                 empties[0]) == 1
 
 
 def test_good_labellings_component_mismatch():
@@ -88,23 +88,23 @@ def test_branch_first_small_cases():
 
 
 def test_branch_second_examples():
-    assert branch_second(3, 2, ((1,), (1,), ())) == {
+    assert branch_second(3, ((1,), (1,), ())) == {
         ((), (1,), ()): 1,
         ((1,), (), ()): 2,
     }
     # all of lambda concentrated in one component of size one
-    assert branch_second(3, 1, ((), (), (1,))) == {((), (), ()): 1}
-    assert branch_second(3, 1, ((), (1,), ())) == {((), (), ()): 2}
+    assert branch_second(3, ((), (), (1,))) == {((), (), ()): 1}
+    assert branch_second(3, ((), (1,), ())) == {((), (), ()): 2}
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        branch_second(3, ((), (), ()))
     with pytest.raises(ValueError):
-        branch_second(3, 0, ((), (), ()))
-    with pytest.raises(ValueError):
-        branch_second(3, 2, ((1,), (1,)))
+        branch_second(3, ((1,), (1,)))
 
 
 def test_branch_second_m1_is_box_removal():
     for n in range(1, 7):
         for lam in enumerate_partitions(n):
-            got = branch_second(1, n, (lam,))
+            got = branch_second(1, (lam,))
             want = {(d,): 1 for d in removable_boxes(lam)}
             assert got == want
 
@@ -123,11 +123,20 @@ def test_lambda_components_must_be_partitions():
     with pytest.raises(ValueError, match="not a partition"):
         branch_first(3, bad, method="labellings")
     with pytest.raises(ValueError, match="not a partition"):
-        branch_second(3, 3, bad)
+        branch_second(3, bad)
     with pytest.raises(ValueError, match="not a partition"):
         wreath_specht_dimension(3, bad)
     with pytest.raises(ValueError, match="not a partition"):
         branch_first(2, ((True,), ()))
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_m_below_one_is_rejected(m):
+    for call in (lambda: branch_first(m, ((1,),)),
+                 lambda: branch_second(m, ((1,),)),
+                 lambda: wreath_specht_dimension(m, ((2,),))):
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            call()
 
 
 def test_dimension_identities_small():
@@ -154,4 +163,4 @@ def test_multiplicity_maps_never_store_zero():
     for m in (2, 3):
         for lam in multipartitions(3, len(enumerate_partitions(m))):
             assert all(v > 0 for v in branch_first(m, lam).values())
-            assert all(v > 0 for v in branch_second(m, 3, lam).values())
+            assert all(v > 0 for v in branch_second(m, lam).values())

@@ -5,6 +5,38 @@ import pytest
 from wreathbranch import cli, verify
 
 
+# Exact stdout, byte for byte, of commands whose counts alone would not
+# catch a change in order or formatting.
+PINNED_STDOUT = {
+    ("cosets", "--gamma", "(3,1,0,2,3)", "--alpha", "(8,1)", "--json"):
+        ('{"alpha": [8, 1], "count": 4, "gamma": [3, 1, 0, 2, 3], '
+         '"reps": ["e", "(6,9,8,7)", "(4,9,8,7,6,5)", '
+         '"(3,9,8,7,6,5,4)"]}\n'),
+    ("labellings", "-m", "3", "--lambda",
+     "[[2],[1,1],[1,1]]", "--nu", "[[3],[2,1]]", "--json"):
+        ('{"labellings": [{"coefficient": 0, "labels": [{"label": [2], '
+         '"lower": 1, "upper": 1}, {"label": [1], "lower": 2, '
+         '"upper": 2}, {"label": [1], "lower": 1, "upper": 2}, '
+         '{"label": [2], "lower": 2, "upper": 3}]}, {"coefficient": 1, '
+         '"labels": [{"label": [2], "lower": 1, "upper": 1}, '
+         '{"label": [1], "lower": 2, "upper": 2}, {"label": [1], '
+         '"lower": 1, "upper": 2}, {"label": [1, 1], "lower": 2, '
+         '"upper": 3}]}, {"coefficient": 0, "labels": [{"label": [1, '
+         '1], "lower": 1, "upper": 1}, {"label": [1], "lower": 2, '
+         '"upper": 2}, {"label": [1], "lower": 1, "upper": 2}, '
+         '{"label": [2], "lower": 2, "upper": 3}]}, {"coefficient": 0, '
+         '"labels": [{"label": [1, 1], "lower": 1, "upper": 1}, '
+         '{"label": [1], "lower": 2, "upper": 2}, {"label": [1], '
+         '"lower": 1, "upper": 2}, {"label": [1, 1], "lower": 2, '
+         '"upper": 3}]}], "lambda": [[2], [1, 1], [1, 1]], "m": 3, '
+         '"nu": [[3], [2, 1]], "total": 1}\n'),
+    ("branch-second", "-m", "3", "--lambda", "[[1],[1],[]]", "--json"):
+        ('{"lambda": [[1], [1], []], "m": 3, '
+         '"multiplicities": [{"mult": 2, "nu": [[1], [], []]}, '
+         '{"mult": 1, "nu": [[], [1], []]}], "n": 2, "rule": "second"}\n'),
+}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -194,6 +226,36 @@ def test_verify_oracle_bounds_checked_before_work(capsys, monkeypatch):
                            "--max-n", bound, "--json")
         assert code == 2
         assert "oracle bound exceeded" in json.loads(out)["message"]
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT))
+def test_pinned_stdout(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == PINNED_STDOUT[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ("wreath-dim", "-m", "0", "--lambda", "[[2]]"),
+    ("branch-second", "-m", "0", "--lambda", "[[1]]"),
+    ("branch-first", "-m", "0", "--lambda", "[[1]]"),
+])
+def test_m_below_one_is_computation_error(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["code"] == "computation-error"
+    assert payload["message"] == "m must be at least 1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("rho", "--sizes", "(2,-1,1)"),
+    ("cosets", "--gamma", "(2,-1)", "--alpha", "(1,)"),
+])
+def test_negative_composition_parts_are_computation_errors(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["code"] == "computation-error"
 
 
 def test_bad_composition_syntax(capsys):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,18 @@ def test_oracles_are_not_exported():
                  "young_subgroup"):
         assert name not in wreathbranch.__all__
         assert not hasattr(wreathbranch, name)
+
+
+def test_every_exported_name_has_a_caller_in_the_package():
+    # a name only the tests use belongs in the tests, not in __all__
+    package = Path(wreathbranch.__file__).resolve().parent
+    modules = [p.read_text() for p in sorted(package.glob("*.py"))
+               if p.name != "__init__.py"]
+    for name in wreathbranch.__all__:
+        word = re.compile(rf"\b{name}\b")
+        definition = re.compile(rf"^\s*(def|class)\s+{name}\b")
+        assert any(word.search(line) and not definition.match(line)
+                   for text in modules for line in text.splitlines()), name
 
 
 def run_optimized(code: str) -> subprocess.CompletedProcess:

@@ -3,13 +3,14 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from wreathbranch.perms import (act_on_tableau, all_perms, compose, descents,
+from wreathbranch.perms import (all_perms, compose, descents,
                                 double_coset_reps, enumerate_weakly_increasing,
                                 from_cycles, identity, inverse, length,
-                                parse_cycles, rho_cosets, standard_tableau,
-                                to_cycles)
+                                rho_cosets, standard_filling, to_cycles)
 from wreathbranch.verify import (brute_force_double_cosets,
                                  positive_compositions, young_subgroup)
+
+from helpers import act_on_tableau, parse_cycles, standard_tableau
 
 
 def test_length_and_descents():
@@ -62,6 +63,10 @@ def test_act_is_a_right_action(sig, pi):
 
 
 def test_standard_tableau_examples():
+    assert standard_filling((3, 5, 0, 4, 1)) == (
+        1, 1, 1, 2, 2, 2, 2, 2, 4, 4, 4, 4, 5)
+    assert standard_filling((3, 1, 0, 2, 3)) == (1, 1, 1, 2, 4, 4, 5, 5, 5)
+    assert standard_filling(()) == ()
     assert standard_tableau((2, 0, 3, 1, 3, 4), (3, 5, 0, 4, 1)) == (
         (1, 1), (), (1, 2, 2), (2,), (2, 2, 4), (4, 4, 4, 5))
     assert standard_tableau((8, 1), (3, 1, 0, 2, 3)) == (
@@ -75,14 +80,13 @@ def test_standard_tableau_size_mismatch():
 
 
 def test_enumerate_weakly_increasing_worked_example():
-    tabs = enumerate_weakly_increasing((8, 1), (3, 1, 0, 2, 3))
-    assert set(tabs) == {
-        ((1, 1, 1, 2, 4, 4, 5, 5), (5,)),
-        ((1, 1, 1, 2, 4, 5, 5, 5), (4,)),
-        ((1, 1, 1, 4, 4, 5, 5, 5), (2,)),
-        ((1, 1, 2, 4, 4, 5, 5, 5), (1,)),
-    }
-    assert len(tabs) == 4
+    fillings = enumerate_weakly_increasing((8, 1), (3, 1, 0, 2, 3))
+    assert fillings == [
+        (1, 1, 1, 2, 4, 4, 5, 5, 5),
+        (1, 1, 1, 2, 4, 5, 5, 5, 4),
+        (1, 1, 1, 4, 4, 5, 5, 5, 2),
+        (1, 1, 2, 4, 4, 5, 5, 5, 1),
+    ]
 
 
 def test_enumerate_weakly_increasing_small():
@@ -93,10 +97,10 @@ def test_enumerate_weakly_increasing_small():
 def test_double_coset_reps_act_to_distinct_weakly_increasing():
     for gamma, alpha in [((3, 1, 0, 2, 3), (8, 1)), ((2, 1), (2, 1)),
                         ((1, 1, 1), (2, 1)), ((4,), (4,))]:
-        system = double_coset_reps(gamma, alpha)
         std = standard_tableau(alpha, gamma)
-        acted = [act_on_tableau(std, rep) for rep in system.reps]
-        assert sorted(acted) == sorted(enumerate_weakly_increasing(alpha, gamma))
+        acted = [tuple(e for row in act_on_tableau(std, rep) for e in row)
+                 for rep in double_coset_reps(gamma, alpha)]
+        assert sorted(acted) == enumerate_weakly_increasing(alpha, gamma)
 
 
 def _double_coset_invariant(gamma, alpha, sigma):
@@ -110,7 +114,7 @@ def test_reps_match_worked_cycle_list_as_double_cosets():
     gamma, alpha = (3, 1, 0, 2, 3), (8, 1)
     known = [parse_cycles(c, 9) for c in
              ("e", "(6,9,8,7)", "(4,9,8,7,6,5)", "(3,9,8,7,6,5,4)")]
-    ours = double_coset_reps(gamma, alpha).reps
+    ours = double_coset_reps(gamma, alpha)
     known_inv = {_double_coset_invariant(gamma, alpha, p) for p in known}
     ours_inv = {_double_coset_invariant(gamma, alpha, p) for p in ours}
     assert known_inv == ours_inv
@@ -129,6 +133,18 @@ def test_rho_cosets_single_component():
     assert rho_cosets((0, 3, 0)) == [(2, identity(3))]
     with pytest.raises(ValueError):
         rho_cosets((0, 0))
+
+
+def test_compositions_are_validated():
+    for bad in ((2, -1, 1), (True, 1), (1.5,)):
+        with pytest.raises(ValueError, match="not a composition"):
+            rho_cosets(bad)
+    with pytest.raises(ValueError, match="not a composition"):
+        double_coset_reps((2, -1), (1,))
+    with pytest.raises(ValueError, match="not a composition"):
+        double_coset_reps((1,), (2, -1))
+    with pytest.raises(ValueError, match="not a composition"):
+        enumerate_weakly_increasing((2,), (3, -1))
 
 
 def test_brute_force_double_cosets_basics():

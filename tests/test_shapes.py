@@ -1,8 +1,8 @@
 import pytest
 
-from wreathbranch.shapes import (concat_parts, enumerate_partitions,
-                                 multipartitions, removable_boxes,
-                                 remove_part_at, size_composition,
+from wreathbranch.shapes import (check_composition, concat_parts,
+                                 enumerate_partitions, multipartitions,
+                                 removable_boxes, size_composition,
                                  specht_dimension)
 
 from helpers import count_standard_tableaux, partitions_by_filter
@@ -67,23 +67,15 @@ def test_dimension_branching_shadow(m):
                                             for d in removable_boxes(lam))
 
 
-def test_remove_part_at():
-    assert remove_part_at((3, 1, 0, 2, 3), 1) == (2, 1, 0, 2, 3)
-    assert remove_part_at((1,), 1) == (0,)
-    assert remove_part_at((2, 2), 2) == (2, 1)
+def test_check_composition():
+    assert check_composition([3, 1, 0, 2, 3]) == (3, 1, 0, 2, 3)
+    assert check_composition(()) == ()
 
 
-def test_remove_part_at_errors():
-    with pytest.raises(ValueError, match="part not removable"):
-        remove_part_at((3, 0, 1), 2)
-
-
-def test_remove_part_at_preserves_length_and_drops_size():
-    gamma = (4, 0, 2, 1)
-    for i in (1, 3, 4):
-        out = remove_part_at(gamma, i)
-        assert len(out) == len(gamma)
-        assert sum(out) == sum(gamma) - 1
+@pytest.mark.parametrize("parts", [(2, -1, 1), (True, 1), (1.0,), ("1",)])
+def test_check_composition_rejects(parts):
+    with pytest.raises(ValueError, match="not a composition"):
+        check_composition(parts)
 
 
 def test_concat_parts():

@@ -1,11 +1,10 @@
 import pytest
 
 from wreathbranch.shapes import enumerate_partitions, specht_dimension
-from wreathbranch.tableaux import (content_type, enumerate_skew_ssyt,
-                                   is_lattice_word, is_semistandard, render,
+from wreathbranch.tableaux import (enumerate_skew_ssyt, is_lattice_word,
                                    reverse_reading_word)
 
-from helpers import naive_skew_ssyt
+from helpers import content_type, is_semistandard, naive_skew_ssyt
 
 # skew filling of (6,4,3,3,1) minus (3,4,2,1), used in several tests
 SKEW_OUTER = (6, 4, 3, 3, 1)
@@ -107,7 +106,3 @@ def test_enumeration_is_row_major_lexicographic():
     tabs = enumerate_skew_ssyt((2, 2), (), (1, 1, 1, 1))
     flats = [tuple(e for row in t for e in row) for t in tabs]
     assert flats == sorted(flats)
-
-
-def test_render():
-    assert render(((1, 3, 3), (1,)), (3, 0)) == ". . . 1 3 3\n1"
