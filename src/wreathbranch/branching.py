@@ -159,7 +159,7 @@ def filtration_multiplicities(A, eta: Multipartition) -> dict:
     lr_multi(nu^j, C_j).  Zero entries are omitted.
     """
     A = tuple(tuple(row) for row in A)
-    eta = tuple(tuple(p) for p in eta)
+    eta = tuple(map(check_partition, eta))
     if len(eta) != len(A):
         raise ValueError("eta must have one component per row of A")
     t = len(A[0]) if A else 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .shapes import Partition, enumerate_partitions
+from .shapes import Partition, check_partition, enumerate_partitions
 from .tableaux import (enumerate_skew_ssyt, is_lattice_word,
                        reverse_reading_word, skew_fits)
 
@@ -18,7 +18,7 @@ from .tableaux import (enumerate_skew_ssyt, is_lattice_word,
 @cache
 def lr_coefficient(lam: Partition, alpha: Partition, beta: Partition) -> int:
     """The coefficient c^lam_{alpha,beta} via lattice-word counting."""
-    lam, alpha, beta = tuple(lam), tuple(alpha), tuple(beta)
+    lam, alpha, beta = map(check_partition, (lam, alpha, beta))
     if not skew_fits(lam, alpha):
         return 0
     if sum(beta) != sum(lam) - sum(alpha):
@@ -34,22 +34,25 @@ def lr_multi(lam: Partition, parts) -> int:
     delta; t = 2 is lr_coefficient; larger tuples recurse through all
     intermediate partitions.  The value is invariant under reordering
     the tuple (checked in the test suite), so the memo key is sorted.
+    ValueError unless lam and every part are partitions.
     """
-    lam = tuple(lam)
-    parts = tuple(tuple(p) for p in parts)
-    if sum(map(sum, parts)) != sum(lam):
-        return 0
-    return _lr_multi_sorted(lam, tuple(sorted(parts)))
+    return _lr_multi_sorted(tuple(lam),
+                            tuple(sorted(tuple(p) for p in parts)))
 
 
 @cache
 def _lr_multi_sorted(lam: Partition, parts) -> int:
+    if len(parts) == 2:
+        return lr_coefficient(lam, parts[0], parts[1])
+    check_partition(lam)
+    for p in parts:
+        check_partition(p)
+    if sum(map(sum, parts)) != sum(lam):
+        return 0
     if len(parts) == 0:
         return 1 if lam == () else 0
     if len(parts) == 1:
         return 1 if parts[0] == lam else 0
-    if len(parts) == 2:
-        return lr_coefficient(lam, parts[0], parts[1])
     head, tail = parts[0], parts[1:]
     total = 0
     for beta in enumerate_partitions(sum(lam) - sum(head)):

@@ -25,15 +25,15 @@ Multipartition = tuple[Partition, ...]
 def is_partition(parts) -> bool:
     """True iff `parts` is weakly decreasing with all parts positive."""
     parts = tuple(parts)
-    if any(p <= 0 for p in parts):
-        return False
-    return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+    return not parts or (parts[-1] > 0
+                         and sorted(parts, reverse=True) == list(parts))
 
 
 def check_partition(parts) -> Partition:
     """`parts` as a tuple, or ValueError unless it is a partition of ints."""
     parts = tuple(parts)
-    if any(type(p) is not int for p in parts) or not is_partition(parts):
+    # builtins rather than generators: the LR caches call this per miss
+    if set(map(type, parts)) - {int} or not is_partition(parts):
         raise ValueError(f"not a partition: {parts}")
     return parts
 

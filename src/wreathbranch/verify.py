@@ -1,8 +1,8 @@
 """Independent oracles and exhaustive self-check suites.
 
 The oracles share no code with the production modules: Schur
-polynomials multiplied out monomial by monomial, and double cosets
-found by orbit closure over all of S_n.  Each suite compares an
+products from Kostka numbers counted in Schur polynomials, and double
+cosets found by orbit closure over all of S_n.  Each suite compares an
 independent value with the production code over a finite family and
 returns ``{"checked": count, "failures": [message, ...]}``.  The CLI
 and the acceptance tests both run these.
@@ -28,7 +28,6 @@ SCHUR_ORACLE_BOUND = 10
 ORACLE_BOUND = 7
 
 
-@cache
 def schur_monomials(shape: Partition, nvars: int) -> dict:
     """The Schur polynomial s_shape in `nvars` variables.
 
@@ -65,47 +64,86 @@ def schur_monomials(shape: Partition, nvars: int) -> dict:
     return poly
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, ...], int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return out
+@cache
+def _kostka(shape: Partition) -> dict:
+    """The coefficients of s_shape at partitions: the Kostka numbers.
+
+    Maps each partition mu of |shape| to K(shape, mu) = [x^mu] s_shape,
+    a value that does not depend on the number of variables once there
+    are at least l(mu) of them.  So the polynomial is generated once, in
+    |shape| variables, and must be symmetric, or RuntimeError is raised;
+    only the partition-indexed coefficients are kept, since by symmetry
+    they determine the rest.
+    """
+    nvars = sum(shape)
+    poly = schur_monomials(shape, nvars)
+    kostka: dict[Partition, int] = {}
+    for exp, c in poly.items():
+        if len(exp) != nvars or any(
+                poly.get(exp[:i] + (exp[i + 1], exp[i]) + exp[i + 2:]) != c
+                for i in range(nvars - 1)):
+            raise RuntimeError(f"s_{shape} in {nvars} variables "
+                               "is not symmetric")
+        if all(exp[i] >= exp[i + 1] for i in range(nvars - 1)):
+            kostka[tuple(e for e in exp if e)] = c
+    return kostka
+
+
+def _capped_compositions(total: int, caps: tuple[int, ...]):
+    """All a with len(a) == len(caps), 0 <= a_i <= caps[i], sum(a) == total."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    room = sum(caps[1:])
+    for first in range(max(0, total - room), min(total, caps[0]) + 1):
+        for rest in _capped_compositions(total - first, caps[1:]):
+            yield (first,) + rest
+
+
+def _as_partition(exp) -> Partition:
+    return tuple(sorted((e for e in exp if e), reverse=True))
 
 
 def schur_product_oracle(alpha: Partition, beta: Partition) -> dict:
     """Expand s_alpha * s_beta in the Schur basis without the LR rule.
 
-    Works in exactly |alpha|+|beta| variables: multiply the monomial
-    expansions, then repeatedly subtract off the Schur polynomial of the
-    lexicographically greatest surviving exponent vector (which is
-    always a partition, and each Schur polynomial is monic there).
-    Returns a map partition -> positive coefficient.
+    A symmetric polynomial is fixed by its coefficients at partitions,
+    and setting trailing variables to zero is a ring map, so for each
+    partition mu of n = |alpha|+|beta| the coefficient [x^mu] of the
+    product is computed in l(mu) variables:
+    the sum over a <= mu of K(alpha, sort a) K(beta, sort(mu - a)).
+    Then the Schur polynomial of the lexicographically greatest
+    surviving partition is subtracted off, repeatedly, using
+    [x^mu] s_lead = K(lead, mu).  Returns a map partition -> positive
+    coefficient.
     """
     alpha, beta = tuple(alpha), tuple(beta)
-    n = sum(alpha) + sum(beta)
+    a = sum(alpha)
+    n = a + sum(beta)
     if n > SCHUR_ORACLE_BOUND:
         raise ValueError("oracle bound exceeded")
-    nvars = n
-    if nvars == 0:
-        return {(): 1}
-    product = _poly_mul(schur_monomials(alpha, nvars),
-                        schur_monomials(beta, nvars))
+    k_alpha, k_beta = _kostka(alpha), _kostka(beta)
+    # enumerate_partitions lists partitions in descending lex order
+    shapes = enumerate_partitions(n)
+    product = {
+        mu: sum(k_alpha.get(_as_partition(x), 0)
+                * k_beta.get(_as_partition(m - y for m, y in zip(mu, x)), 0)
+                for x in _capped_compositions(a, mu))
+        for mu in shapes}
     expansion: dict[Partition, int] = {}
-    while product:
-        lead = max(product)
+    for i, lead in enumerate(shapes):
         coeff = product[lead]
-        if list(lead) != sorted(lead, reverse=True):
-            raise RuntimeError(f"leading exponent {lead} is not a partition")
-        shape = tuple(p for p in lead if p > 0)
-        expansion[shape] = coeff
-        for exp, c in schur_monomials(shape, nvars).items():
-            v = product.get(exp, 0) - coeff * c
-            if v:
-                product[exp] = v
-            else:
-                product.pop(exp, None)
+        if not coeff:
+            continue
+        if coeff < 0:
+            raise RuntimeError(f"negative coefficient {coeff} at {lead}")
+        expansion[lead] = coeff
+        k_lead = _kostka(lead)
+        for mu in shapes[i:]:
+            product[mu] -= coeff * k_lead.get(mu, 0)
+    if any(product.values()):
+        raise RuntimeError("the product is not a sum of Schur polynomials")
     return expansion
 
 
@@ -121,12 +159,27 @@ def young_subgroup(gamma: Composition) -> tuple[Perm, ...]:
                  for choice in itertools.product(*blocks))
 
 
-def _block_transpositions(gamma: Composition, n: int) -> list[Perm]:
+@cache
+def _indexed_symmetric_group(n: int):
+    """S_n in lexicographic order, with adjacent transpositions as maps.
+
+    Returns (perms, left, right): for s = (j+1, j+2), left[j][i] is the
+    index of s * perms[i] and right[j][i] the index of perms[i] * s.
+    """
+    perms = tuple(all_perms(n))
+    index = {p: i for i, p in enumerate(perms)}
+    gens = [from_cycles([[j, j + 1]], n) for j in range(1, n)]
+    left = tuple(tuple(index[compose(g, p)] for p in perms) for g in gens)
+    right = tuple(tuple(index[compose(p, g)] for p in perms) for g in gens)
+    return perms, left, right
+
+
+def _block_transpositions(gamma: Composition) -> list[int]:
+    """The 0-based j whose transposition (j+1, j+2) lies in S_gamma."""
     gens = []
-    start = 1
+    start = 0
     for part in gamma:
-        for j in range(start, start + part - 1):
-            gens.append(from_cycles([[j, j + 1]], n))
+        gens.extend(range(start, start + part - 1))
         start += part
     return gens
 
@@ -143,29 +196,26 @@ def brute_force_double_cosets(gamma: Composition,
         raise ValueError("gamma and alpha must have equal size")
     if n > ORACLE_BOUND:
         raise ValueError("oracle bound exceeded")
-    left = _block_transpositions(tuple(gamma), n)
-    right = _block_transpositions(tuple(alpha), n)
-    unseen = set(all_perms(n))
+    perms, left, right = _indexed_symmetric_group(n)
+    moves = ([left[j] for j in _block_transpositions(gamma)]
+             + [right[j] for j in _block_transpositions(alpha)])
+    owner = [-1] * len(perms)
     cosets = []
-    while unseen:
-        seed = min(unseen)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            sigma = frontier.pop()
-            for g in left:
-                nxt = compose(g, sigma)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-            for h in right:
-                nxt = compose(sigma, h)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        unseen -= orbit
-        cosets.append(frozenset(orbit))
-    return sorted(cosets, key=min)
+    # seeds rise through the lexicographic order, so each seed is the
+    # minimum of its coset and the cosets come out sorted
+    for seed in range(len(perms)):
+        if owner[seed] >= 0:
+            continue
+        owner[seed] = len(cosets)
+        orbit = [seed]
+        for i in orbit:  # the loop also visits what it appends
+            for move in moves:
+                nxt = move[i]
+                if owner[nxt] < 0:
+                    owner[nxt] = owner[seed]
+                    orbit.append(nxt)
+        cosets.append(frozenset(perms[i] for i in orbit))
+    return cosets
 
 
 def positive_compositions(n: int):
@@ -216,10 +266,8 @@ def verify_cosets(max_n: int = 6) -> dict:
                     failures.append(f"coset sizes of ({gamma},{alpha}) "
                                     "do not sum to n!")
                 reps = double_coset_reps(gamma, alpha)
-                hit = set()
-                for rep in reps:
-                    owners = [k for k, c in enumerate(cosets) if rep in c]
-                    hit.update(owners)
+                owner = _coset_index(cosets)
+                hit = {owner[rep] for rep in reps if rep in owner}
                 checked += 1
                 if len(reps) != len(cosets) or len(hit) != len(cosets):
                     failures.append(
@@ -231,6 +279,11 @@ def verify_cosets(max_n: int = 6) -> dict:
     return {"checked": checked, "failures": failures}
 
 
+def _coset_index(cosets: list[frozenset]) -> dict:
+    """Map each permutation to the index of the coset holding it."""
+    return {p: k for k, c in enumerate(cosets) for p in c}
+
+
 def _verify_rho(max_n: int) -> dict:
     """The distinguished cyclic reps hit each (S_sizes, S_{n-1})-coset once."""
     checked = 0
@@ -239,9 +292,8 @@ def _verify_rho(max_n: int) -> dict:
         for sizes in positive_compositions(n):
             cosets = brute_force_double_cosets(sizes, (n - 1, 1))
             reps = [p for _, p in rho_cosets(sizes)]
-            owners = set()
-            for rep in reps:
-                owners.update(k for k, c in enumerate(cosets) if rep in c)
+            owner = _coset_index(cosets)
+            owners = {owner[rep] for rep in reps if rep in owner}
             checked += 1
             if len(reps) != len(cosets) or len(owners) != len(cosets):
                 failures.append(f"rho reps for sizes {sizes} hit "
@@ -276,9 +328,10 @@ def verify_stabilizers(max_n: int = 6) -> dict:
                 stab = {theta for theta in all_perms(n)
                         if all(flat[theta[i] - 1] == flat[i] for i in range(n))} \
                     if n <= 4 else None
-                conj = {compose(compose(sinv, g), sigma) for g in sg}
-                ok = all(all(flat[h[i] - 1] == flat[i] for i in range(n))
-                         for h in conj)
+                # sinv * g * sigma, in one pass
+                conj = {tuple(sigma[g[s - 1] - 1] for s in sinv) for g in sg}
+                box = (0, *flat)  # box[x] is the entry in box x
+                ok = all(list(map(box.__getitem__, h)) == flat for h in conj)
                 sizes_match = len(conj) == _stab_order(flat)
                 checked += 1
                 if not ok or not sizes_match or (stab is not None

@@ -172,3 +172,74 @@ def parse_cycles(text: str, n: int) -> tuple[int, ...]:
         step = {cyc[i]: cyc[(i + 1) % len(cyc)] for i in range(len(cyc))}
         perm = [step.get(v, v) for v in perm]
     return tuple(perm)
+
+
+def full_product_schur_expansion(alpha, beta, schur_monomials) -> dict:
+    """s_alpha * s_beta in the Schur basis by multiplying whole polynomials.
+
+    The reference route for ``verify.schur_product_oracle``: expand both
+    factors in n = |alpha|+|beta| variables with `schur_monomials`,
+    multiply every pair of monomials, then repeatedly subtract the Schur
+    polynomial of the lexicographically greatest surviving exponent.
+    """
+    nvars = sum(alpha) + sum(beta)
+    if nvars == 0:
+        return {(): 1}
+    product: dict[tuple[int, ...], int] = {}
+    for ea, ca in schur_monomials(tuple(alpha), nvars).items():
+        for eb, cb in schur_monomials(tuple(beta), nvars).items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            product[key] = product.get(key, 0) + ca * cb
+    expansion = {}
+    while product:
+        lead = max(product)
+        coeff = product[lead]
+        assert list(lead) == sorted(lead, reverse=True), lead
+        shape = tuple(p for p in lead if p > 0)
+        expansion[shape] = coeff
+        for exp, c in schur_monomials(shape, nvars).items():
+            v = product.get(exp, 0) - coeff * c
+            if v:
+                product[exp] = v
+            else:
+                product.pop(exp, None)
+    return expansion
+
+
+def set_orbit_double_cosets(gamma, alpha) -> list[frozenset]:
+    """(S_gamma, S_alpha)-double cosets of S_n by closing orbits of sets.
+
+    Multiplies permutations as tuples on both sides by the adjacent
+    transpositions inside the blocks; sorted by minimal element.
+    """
+    n = sum(gamma)
+
+    def swaps(comp):
+        out, start = [], 0
+        for part in comp:
+            for j in range(start, start + part - 1):
+                p = list(range(1, n + 1))
+                p[j], p[j + 1] = p[j + 1], p[j]
+                out.append(tuple(p))
+            start += part
+        return out
+
+    def mul(a, b):  # apply a, then b
+        return tuple(b[x - 1] for x in a)
+
+    left, right = swaps(gamma), swaps(alpha)
+    unseen = set(itertools.permutations(range(1, n + 1)))
+    cosets = []
+    while unseen:
+        orbit = {min(unseen)}
+        frontier = list(orbit)
+        while frontier:
+            sigma = frontier.pop()
+            for nxt in ([mul(g, sigma) for g in left]
+                        + [mul(sigma, h) for h in right]):
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    frontier.append(nxt)
+        unseen -= orbit
+        cosets.append(frozenset(orbit))
+    return sorted(cosets, key=min)

@@ -72,6 +72,13 @@ def test_filtration_identity_matrix():
         assert filtration_multiplicities(eye, eta) == {eta: 1}
 
 
+def test_filtration_eta_components_must_be_partitions():
+    eye = ((1, 0), (0, 1))
+    for eta in [((1, 2), (1,)), ((2,), (0,)), ((True,), ())]:
+        with pytest.raises(ValueError, match="not a partition"):
+            filtration_multiplicities(eye, eta)
+
+
 def test_branch_first_worked_example():
     mults = branch_first(3, LAM36)
     assert mults[NU36] == 1

@@ -6,6 +6,8 @@ from wreathbranch.lr import lr_coefficient, lr_multi
 from wreathbranch.shapes import enumerate_partitions, specht_dimension
 from wreathbranch.verify import schur_monomials, schur_product_oracle
 
+from helpers import full_product_schur_expansion
+
 
 def test_lr_coefficient_examples():
     assert lr_coefficient((3,), (2,), (1,)) == 1
@@ -30,6 +32,17 @@ def test_lr_multi_base_cases():
     assert lr_multi((), ()) == 1
     assert lr_multi((1,), ()) == 0
     assert lr_multi((3, 2, 1), ((1,),) * 6) == 16
+
+
+def test_lr_entry_points_reject_non_partitions():
+    for call in (lambda: lr_coefficient((1, 2), (1,), (2,)),
+                 lambda: lr_coefficient((2, 1), (0, 1), (2,)),
+                 lambda: lr_multi((1, 2), ((1,), (2,))),
+                 lambda: lr_multi((1, 2), ((1, 2),)),
+                 lambda: lr_multi((1, 2), ((1,), (1,), (1,))),
+                 lambda: lr_multi((3,), ((1,), (2, 0)))):
+        with pytest.raises(ValueError, match="not a partition"):
+            call()
 
 
 def test_lr_multi_degree_filter():
@@ -86,6 +99,16 @@ def test_schur_product_oracle_two_one_squared():
     assert sum(expansion.values()) == 8
     assert expansion[(3, 2, 1)] == 2
     assert all(sum(p) == 6 for p in expansion)
+
+
+def test_schur_product_oracle_matches_the_full_product():
+    for total in range(0, 7):
+        for a in range(total + 1):
+            for alpha in enumerate_partitions(a):
+                for beta in enumerate_partitions(total - a):
+                    assert schur_product_oracle(alpha, beta) == \
+                        full_product_schur_expansion(alpha, beta,
+                                                     schur_monomials)
 
 
 def test_schur_product_oracle_bound():

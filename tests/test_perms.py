@@ -10,7 +10,8 @@ from wreathbranch.perms import (all_perms, compose, descents,
 from wreathbranch.verify import (brute_force_double_cosets,
                                  positive_compositions, young_subgroup)
 
-from helpers import act_on_tableau, parse_cycles, standard_tableau
+from helpers import (act_on_tableau, parse_cycles, set_orbit_double_cosets,
+                     standard_tableau)
 
 
 def test_length_and_descents():
@@ -156,6 +157,14 @@ def test_brute_force_double_cosets_basics():
     assert len(brute_force_double_cosets((1, 1, 1), (2, 1))) == 3
     with pytest.raises(ValueError, match="oracle bound exceeded"):
         brute_force_double_cosets((8,), (8,))
+
+
+def test_brute_force_double_cosets_match_set_orbits():
+    for n in range(1, 5):
+        for gamma in positive_compositions(n):
+            for alpha in positive_compositions(n):
+                assert brute_force_double_cosets(gamma, alpha) == \
+                    set_orbit_double_cosets(gamma, alpha)
 
 
 def test_positive_compositions():
