@@ -14,13 +14,14 @@ from functools import cache
 from math import factorial
 from typing import NamedTuple
 
-from .lr import lr_multi
-from .shapes import (Multipartition, Partition, check_partition,
-                     enumerate_partitions, multipartitions, removable_boxes,
-                     size_composition, specht_dimension)
+from .lr import _lr_multi
+from .shapes import (Multipartition, Partition, _specht_dimension,
+                     check_partition, compositions, enumerate_partitions,
+                     multipartitions, removable_boxes, size_composition)
 
-# A multipartition matrix is a tuple of rows; each cell is a tuple of
-# partitions.  A multiplicity map is a dict multipartition -> positive int.
+# A multipartition matrix is a tuple of rows; each row holds one
+# partition per column.  A multiplicity map is a dict multipartition ->
+# positive int.
 
 
 class YoungLayer(NamedTuple):
@@ -52,38 +53,23 @@ def young_layer(m: int) -> YoungLayer:
 def _size_flows(support, row_sums, col_sums):
     """0-patterned integer matrices with the given row and column sums.
 
-    `support` is a 0/1 (or counts) matrix; a zero entry forces a zero.
-    Enumerated row by row with column-budget pruning.
+    `support` is a 0/1 matrix; a zero entry forces a zero.  Enumerated
+    row by row, each row capped by the column budgets left.
     """
     s = len(support)
 
     def rows(i, budgets):
         if i == s:
-            if all(b == 0 for b in budgets):
+            if not any(budgets):
                 yield ()
             return
-        for row in _row_choices(support[i], row_sums[i], budgets):
+        caps = tuple(b if a else 0 for a, b in zip(support[i], budgets))
+        for row in compositions(row_sums[i], caps):
             nxt = tuple(b - v for b, v in zip(budgets, row))
             for rest in rows(i + 1, nxt):
                 yield (row,) + rest
 
     yield from rows(0, tuple(col_sums))
-
-
-def _row_choices(support_row, total, budgets):
-    t = len(support_row)
-
-    def go(j, remaining):
-        if j == t:
-            if remaining == 0:
-                yield ()
-            return
-        hi = min(remaining, budgets[j]) if support_row[j] else 0
-        for v in range(hi, -1, -1):
-            for rest in go(j + 1, remaining - v):
-                yield (v,) + rest
-
-    yield from go(0, total)
 
 
 def enumerate_good_labellings(layer: YoungLayer, lam: Multipartition,
@@ -120,43 +106,41 @@ def labelling_coefficient(layer: YoungLayer, lam: Multipartition,
     coeff = 1
     for i, part in enumerate(lam):
         incident = [lbl for (a, _), lbl in zip(layer.edges, labels) if a == i]
-        coeff *= lr_multi(part, [p for p in incident if p != ()])
+        coeff *= _lr_multi(part, incident)
         if coeff == 0:
             return 0
     for j, part in enumerate(nu):
         incident = [lbl for (_, b), lbl in zip(layer.edges, labels) if b == j]
-        coeff *= lr_multi(part, [p for p in incident if p != ()])
+        coeff *= _lr_multi(part, incident)
         if coeff == 0:
             return 0
     return coeff
 
 
-def _nonzero_row_fillings(A_row, eta_i: Partition):
-    """Cell fillings for one row with a nonzero row LR coefficient.
+def _row_fillings(support_row, eta_i: Partition):
+    """Fillings of one row that have a nonzero row LR coefficient.
 
-    Yields (cells, coeff) where cells is a tuple of multipartitions, one
-    per column, the row content totals |eta_i|, and coeff is
-    lr_multi(eta_i, concatenated nonempty content).
+    Yields (row, coeff): row holds one partition per column, () off the
+    support, with sizes summing to |eta_i|, and coeff is
+    lr_multi(eta_i, row).
     """
-    t = len(A_row)
-    slots = [(j, k) for j in range(t) for k in range(A_row[j])]
-    for parts in multipartitions(sum(eta_i), len(slots)):
-        coeff = lr_multi(eta_i, [p for p in parts if p != ()])
-        if coeff == 0:
-            continue
-        cells = [[] for _ in range(t)]
-        for (j, _), p in zip(slots, parts):
-            cells[j].append(p)
-        yield tuple(tuple(c) for c in cells), coeff
+    n = sum(eta_i)
+    caps = tuple(n if a else 0 for a in support_row)
+    for sizes in compositions(n, caps):
+        for row in itertools.product(*map(enumerate_partitions, sizes)):
+            coeff = _lr_multi(eta_i, row)
+            if coeff:
+                yield row, coeff
 
 
 def filtration_multiplicities(A, eta: Multipartition) -> dict:
     """The multiplicity map of the matrix-sum formula.
 
-    With t the number of columns of A, for each t-multipartition nu of
-    n, sums over matrices in Mat(A; |eta| x |nu|) the product of row
-    coefficients lr_multi(eta^i, R_i) and column coefficients
-    lr_multi(nu^j, C_j).  Zero entries are omitted.
+    A is a 0/1 matrix with one row per component of eta.  With t the
+    number of columns of A, for each t-multipartition nu of n, sums over
+    the fillings of A by partitions (one per support entry, () off it)
+    the product of row coefficients lr_multi(eta^i, R_i) and column
+    coefficients lr_multi(nu^j, C_j).  Zero entries are omitted.
     """
     A = tuple(tuple(row) for row in A)
     eta = tuple(map(check_partition, eta))
@@ -165,9 +149,10 @@ def filtration_multiplicities(A, eta: Multipartition) -> dict:
     t = len(A[0]) if A else 0
     if any(len(row) != t for row in A):
         raise ValueError("the rows of A must have equal length")
+    if any(a not in (0, 1) for row in A for a in row):
+        raise ValueError("the entries of A must be 0 or 1")
 
-    per_row = [list(_nonzero_row_fillings(A[i], eta[i]))
-               for i in range(len(eta))]
+    per_row = [list(_row_fillings(A[i], eta[i])) for i in range(len(eta))]
     result: dict[Multipartition, int] = {}
     for combo in itertools.product(*per_row):
         row_coeff = 1
@@ -176,8 +161,7 @@ def filtration_multiplicities(A, eta: Multipartition) -> dict:
         # distribute over nu: independent choice of nu^j per column
         col_maps = []
         for j in range(t):
-            col_parts = tuple(p for cells, _ in combo for p in cells[j]
-                              if p != ())
+            col_parts = tuple(row[j] for row, _ in combo if row[j])
             col_maps.append(_column_expansion(col_parts))
         for nu_choice in itertools.product(*(cm.items() for cm in col_maps)):
             nu = tuple(k for k, _ in nu_choice)
@@ -192,7 +176,7 @@ def filtration_multiplicities(A, eta: Multipartition) -> dict:
 def _column_expansion(col_parts) -> dict:
     """Map nu -> lr_multi(nu, col_parts) over partitions of the total size."""
     size = sum(map(sum, col_parts))
-    cm = {nu: lr_multi(nu, col_parts) for nu in enumerate_partitions(size)}
+    cm = {nu: _lr_multi(nu, col_parts) for nu in enumerate_partitions(size)}
     return {k: v for k, v in cm.items() if v}
 
 
@@ -238,7 +222,7 @@ def wreath_specht_dimension(m: int, lam: Multipartition) -> int:
     dim = factorial(n)
     for mu, part in zip(enumerate_partitions(m), lam):
         dim //= factorial(sum(part))
-        dim *= specht_dimension(mu) ** sum(part) * specht_dimension(part)
+        dim *= _specht_dimension(mu) ** sum(part) * _specht_dimension(part)
     return dim
 
 
@@ -259,5 +243,5 @@ def branch_second(m: int, lam: Multipartition) -> dict:
             continue
         for delta in removable_boxes(part):
             key = lam[:i] + (delta,) + lam[i + 1:]
-            result[key] = result.get(key, 0) + specht_dimension(upper[i])
+            result[key] = result.get(key, 0) + _specht_dimension(upper[i])
     return result

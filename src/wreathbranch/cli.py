@@ -69,19 +69,56 @@ def _mp_sort_key(mp):
 def _mult_payload(m, n, rule, lam, mults) -> dict:
     ordered = sorted(mults, key=_mp_sort_key, reverse=True)
     return {
-        "m": m, "n": n, "rule": rule,
-        "lambda": [list(p) for p in lam],
-        "multiplicities": [{"nu": [list(p) for p in nu], "mult": mults[nu]}
-                           for nu in ordered],
+        "m": m, "n": n, "rule": rule, "lambda": lam,
+        "multiplicities": [{"nu": nu, "mult": mults[nu]} for nu in ordered],
     }
 
 
 def _mult_human(payload) -> str:
+    if payload.get("code") == "method-disagreement":
+        return "methods disagree"
     lines = [f"rule={payload['rule']} m={payload['m']} n={payload['n']} "
              f"lambda={json.dumps(payload['lambda'])}"]
     for entry in payload["multiplicities"]:
         lines.append(f"  nu={json.dumps(entry['nu'])} mult={entry['mult']}")
     return "\n".join(lines)
+
+
+def _labellings_human(payload) -> str:
+    lines = [f"{len(payload['labellings'])} good labellings, "
+             f"coefficient sum {payload['total']}"]
+    for e in payload["labellings"]:
+        lbls = " ".join(f"({x['upper']},{x['lower']}):{json.dumps(x['label'])}"
+                        for x in e["labels"])
+        lines.append(f"  M(L)={e['coefficient']}  {lbls}")
+    return "\n".join(lines)
+
+
+def _verify_human(report) -> str:
+    lines = [f"suite {report['suite']}: {report['checked']} instances "
+             f"checked, {len(report['failures'])} failures"]
+    lines += [f"  FAIL {f}" for f in report["failures"]]
+    return "\n".join(lines)
+
+
+# command -> the human rendering of its payload, used without --json
+_HUMAN = {
+    "partitions": lambda p: json.dumps(p["partitions"], separators=(",", ":")),
+    "dim": lambda p: str(p["dim"]),
+    "lr": lambda p: str(p["coefficient"]),
+    "lr-multi": lambda p: str(p["coefficient"]),
+    "young-layer": lambda p: (f"upper: {json.dumps(p['upper'])}\n"
+                              f"lower: {json.dumps(p['lower'])}\n"
+                              f"edges: {len(p['edges'])}"),
+    "labellings": _labellings_human,
+    "branch-first": _mult_human,
+    "branch-second": _mult_human,
+    "wreath-dim": lambda p: str(p["dim"]),
+    "cosets": lambda p: "\n".join(p["reps"]),
+    "rho": lambda p: "\n".join(f"rho_{e['index']} = {e['cycles']}"
+                               for e in p["reps"]),
+    "verify": _verify_human,
+}
 
 
 def build_parser() -> _Parser:
@@ -147,49 +184,36 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _run(args) -> tuple[dict, str, int]:
+def _run(args) -> tuple[dict, int]:
+    """The payload of one command, and its exit code."""
     cmd = args.command
     if cmd == "partitions":
-        parts = shapes.enumerate_partitions(args.m)
-        listing = [list(p) for p in parts]
-        return ({"m": args.m, "partitions": listing},
-                json.dumps(listing, separators=(",", ":")), 0)
+        return {"m": args.m,
+                "partitions": shapes.enumerate_partitions(args.m)}, 0
 
     if cmd == "dim":
         lam = parse_partition(args.partition)
-        dim = shapes.specht_dimension(lam)
-        return ({"partition": list(lam), "dim": dim}, str(dim), 0)
+        return {"partition": lam, "dim": shapes.specht_dimension(lam)}, 0
 
     if cmd == "lr":
         lam = parse_partition(args.lam)
         alpha = parse_partition(args.alpha)
         beta = parse_partition(args.beta)
-        c = lr_coefficient(lam, alpha, beta)
-        return ({"lambda": list(lam), "alpha": list(alpha),
-                 "beta": list(beta), "coefficient": c}, str(c), 0)
+        return {"lambda": lam, "alpha": alpha, "beta": beta,
+                "coefficient": lr_coefficient(lam, alpha, beta)}, 0
 
     if cmd == "lr-multi":
         lam = parse_partition(args.lam)
         parts = tuple(parse_partition(p) for p in args.parts.split(";"))
-        c = lr_multi(lam, parts)
-        return ({"lambda": list(lam), "parts": [list(p) for p in parts],
-                 "coefficient": c}, str(c), 0)
+        return {"lambda": lam, "parts": parts,
+                "coefficient": lr_multi(lam, parts)}, 0
 
     if cmd == "young-layer":
         layer = branching.young_layer(args.m)
-        payload = {
-            "m": layer.m,
-            "upper": [list(p) for p in layer.upper],
-            "lower": [list(p) for p in layer.lower],
-            "edges": [{"upper": i + 1, "lower": j + 1}
-                      for i, j in layer.edges],
-            "adjacency": [list(row) for row in layer.adjacency],
-        }
-        human = "\n".join(
-            [f"upper: {json.dumps(payload['upper'])}",
-             f"lower: {json.dumps(payload['lower'])}",
-             f"edges: {len(layer.edges)}"])
-        return payload, human, 0
+        return {"m": layer.m, "upper": layer.upper, "lower": layer.lower,
+                "edges": [{"upper": i + 1, "lower": j + 1}
+                          for i, j in layer.edges],
+                "adjacency": layer.adjacency}, 0
 
     if cmd == "labellings":
         layer = branching.young_layer(args.m)
@@ -198,21 +222,13 @@ def _run(args) -> tuple[dict, str, int]:
         entries = []
         for labels in branching.enumerate_good_labellings(layer, lam, nu):
             entries.append({
-                "labels": [{"upper": i + 1, "lower": j + 1, "label": list(lbl)}
+                "labels": [{"upper": i + 1, "lower": j + 1, "label": lbl}
                            for (i, j), lbl in zip(layer.edges, labels)],
                 "coefficient": branching.labelling_coefficient(layer, lam, nu,
                                                                labels),
             })
-        payload = {"m": args.m, "lambda": [list(p) for p in lam],
-                   "nu": [list(p) for p in nu], "labellings": entries,
-                   "total": sum(e["coefficient"] for e in entries)}
-        human_lines = [f"{len(entries)} good labellings, "
-                       f"coefficient sum {payload['total']}"]
-        for e in entries:
-            lbls = " ".join(f"({l['upper']},{l['lower']}):{l['label']}"
-                            for l in e["labels"])
-            human_lines.append(f"  M(L)={e['coefficient']}  {lbls}")
-        return payload, "\n".join(human_lines), 0
+        return {"m": args.m, "lambda": lam, "nu": nu, "labellings": entries,
+                "total": sum(e["coefficient"] for e in entries)}, 0
 
     if cmd == "branch-first":
         lam = parse_multipartition(args.lam)
@@ -221,56 +237,45 @@ def _run(args) -> tuple[dict, str, int]:
             mats = branching.branch_first(args.m, lam, method="matrices")
             labs = branching.branch_first(args.m, lam, method="labellings")
             if mats != labs:
-                payload = {"status": "error", "code": "method-disagreement",
-                           "matrices": _mult_payload(args.m, n, "first",
-                                                     lam, mats),
-                           "labellings": _mult_payload(args.m, n, "first",
-                                                       lam, labs)}
-                return payload, "methods disagree", VERIFICATION_FAILURE
+                return {"status": "error", "code": "method-disagreement",
+                        "matrices": _mult_payload(args.m, n, "first",
+                                                  lam, mats),
+                        "labellings": _mult_payload(args.m, n, "first",
+                                                    lam, labs)}, \
+                    VERIFICATION_FAILURE
             mults = mats
         else:
             mults = branching.branch_first(args.m, lam, method=args.method)
-        payload = _mult_payload(args.m, n, "first", lam, mults)
-        return payload, _mult_human(payload), 0
+        return _mult_payload(args.m, n, "first", lam, mults), 0
 
     if cmd == "branch-second":
         lam = parse_multipartition(args.lam)
         n = sum(map(sum, lam))
         mults = branching.branch_second(args.m, lam)
-        payload = _mult_payload(args.m, n, "second", lam, mults)
-        return payload, _mult_human(payload), 0
+        return _mult_payload(args.m, n, "second", lam, mults), 0
 
     if cmd == "wreath-dim":
         lam = parse_multipartition(args.lam)
-        dim = branching.wreath_specht_dimension(args.m, lam)
-        return ({"m": args.m, "lambda": [list(p) for p in lam],
-                 "dim": dim}, str(dim), 0)
+        return {"m": args.m, "lambda": lam,
+                "dim": branching.wreath_specht_dimension(args.m, lam)}, 0
 
     if cmd == "cosets":
         gamma = parse_composition(args.gamma)
         alpha = parse_composition(args.alpha)
         reps = [perms.to_cycles(p)
                 for p in perms.double_coset_reps(gamma, alpha)]
-        payload = {"gamma": list(gamma), "alpha": list(alpha),
-                   "count": len(reps), "reps": reps}
-        return payload, "\n".join(reps), 0
+        return {"gamma": gamma, "alpha": alpha, "count": len(reps),
+                "reps": reps}, 0
 
     if cmd == "rho":
         sizes = parse_composition(args.sizes)
-        entries = [{"index": i, "cycles": perms.to_cycles(p)}
-                   for i, p in perms.rho_cosets(sizes)]
-        payload = {"sizes": list(sizes), "reps": entries}
-        human = "\n".join(f"rho_{e['index']} = {e['cycles']}"
-                          for e in entries)
-        return payload, human, 0
+        return {"sizes": sizes,
+                "reps": [{"index": i, "cycles": perms.to_cycles(p)}
+                         for i, p in perms.rho_cosets(sizes)]}, 0
 
     if cmd == "verify":
         report = verify.run_suite(args.suite, args.max_m, args.max_n)
-        ok = not report["failures"]
-        human_lines = [f"suite {args.suite}: {report['checked']} instances "
-                       f"checked, {len(report['failures'])} failures"]
-        human_lines += [f"  FAIL {f}" for f in report["failures"]]
-        return report, "\n".join(human_lines), 0 if ok else VERIFICATION_FAILURE
+        return report, VERIFICATION_FAILURE if report["failures"] else 0
 
     raise UsageError(f"unknown command {cmd!r}")
 
@@ -283,7 +288,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        payload, human, code = _run(args)
+        payload, code = _run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -295,7 +300,7 @@ def main(argv=None) -> int:
     if args.as_json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(human)
+        print(_HUMAN[args.command](payload))
     return code
 
 

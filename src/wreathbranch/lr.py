@@ -15,9 +15,36 @@ from .tableaux import (enumerate_skew_ssyt, is_lattice_word,
                        reverse_reading_word, skew_fits)
 
 
-@cache
 def lr_coefficient(lam: Partition, alpha: Partition, beta: Partition) -> int:
     """The coefficient c^lam_{alpha,beta} via lattice-word counting."""
+    return _lr_coefficient(*map(check_partition, (lam, alpha, beta)))
+
+
+def lr_multi(lam: Partition, parts) -> int:
+    """The generalized coefficient c(lam; (alpha^1, ..., alpha^t)).
+
+    t = 0 gives 1 exactly for the empty lam; t = 1 is a Kronecker
+    delta; t = 2 is lr_coefficient; larger tuples recurse through all
+    intermediate partitions.  The value is invariant under reordering
+    the tuple (checked in the test suite), so the memo key is sorted;
+    empty parts do not change it either.
+    ValueError unless lam and every part are partitions.
+    """
+    return _lr_multi(check_partition(lam), map(check_partition, parts))
+
+
+# The entry points check before the cached lookup, as True == 1 and both
+# hash alike.  Callers holding checked partitions call the cores, which
+# check again on a miss only: labelling_coefficient passes its labels on.
+
+def _lr_multi(lam: Partition, parts) -> int:
+    """lr_multi without the entry check; () parts leave the key."""
+    return _lr_multi_sorted(tuple(lam),
+                            tuple(sorted(tuple(p) for p in parts if p)))
+
+
+@cache
+def _lr_coefficient(lam: Partition, alpha: Partition, beta: Partition) -> int:
     lam, alpha, beta = map(check_partition, (lam, alpha, beta))
     if not skew_fits(lam, alpha):
         return 0
@@ -27,23 +54,11 @@ def lr_coefficient(lam: Partition, alpha: Partition, beta: Partition) -> int:
                if is_lattice_word(reverse_reading_word(t)))
 
 
-def lr_multi(lam: Partition, parts) -> int:
-    """The generalized coefficient c(lam; (alpha^1, ..., alpha^t)).
-
-    t = 0 gives 1 exactly for the empty lam; t = 1 is a Kronecker
-    delta; t = 2 is lr_coefficient; larger tuples recurse through all
-    intermediate partitions.  The value is invariant under reordering
-    the tuple (checked in the test suite), so the memo key is sorted.
-    ValueError unless lam and every part are partitions.
-    """
-    return _lr_multi_sorted(tuple(lam),
-                            tuple(sorted(tuple(p) for p in parts)))
-
-
 @cache
 def _lr_multi_sorted(lam: Partition, parts) -> int:
+    """lr_multi with `parts` a sorted tuple of partitions."""
     if len(parts) == 2:
-        return lr_coefficient(lam, parts[0], parts[1])
+        return _lr_coefficient(lam, parts[0], parts[1])
     check_partition(lam)
     for p in parts:
         check_partition(p)
@@ -56,7 +71,7 @@ def _lr_multi_sorted(lam: Partition, parts) -> int:
     head, tail = parts[0], parts[1:]
     total = 0
     for beta in enumerate_partitions(sum(lam) - sum(head)):
-        c = lr_coefficient(lam, head, beta)
+        c = _lr_coefficient(lam, head, beta)
         if c:
             total += c * _lr_multi_sorted(beta, tail)
     return total

@@ -92,10 +92,14 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
 
 
-@cache
 def specht_dimension(lam: Partition) -> int:
     """Number of standard Young tableaux of shape `lam` (hook lengths)."""
-    lam = check_partition(lam)
+    # checked before the cached lookup: True == 1 and both hash alike
+    return _specht_dimension(check_partition(lam))
+
+
+@cache
+def _specht_dimension(lam: Partition) -> int:
     conj = conjugate(lam)
     hooks = 1
     for i, row in enumerate(lam):
@@ -117,21 +121,20 @@ def size_composition(mp: Multipartition) -> Composition:
     return tuple(sum(c) for c in mp)
 
 
-def compositions(n: int, length: int):
-    """Yield all compositions of n into exactly `length` parts (zeros allowed).
+def compositions(n: int, caps):
+    """Yield the compositions a of n with 0 <= a[i] <= caps[i].
 
-    Order: lexicographic with the first part largest first.
+    There is one part per cap.  Order: lexicographic with the first
+    part largest first.
     """
-    if length == 0:
+    if not caps:
         if n == 0:
             yield ()
         return
-    if length == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in compositions(n - first, length - 1):
-            yield (first,) + rest
+    head, rest = caps[0], caps[1:]
+    for first in range(min(n, head), max(0, n - sum(rest)) - 1, -1):
+        for tail in compositions(n - first, rest):
+            yield (first,) + tail
 
 
 def multipartitions(n: int, components: int):
@@ -140,6 +143,6 @@ def multipartitions(n: int, components: int):
     Components of size 0 are the empty partition.  The order is
     deterministic: by size composition, then componentwise.
     """
-    for sizes in compositions(n, components):
+    for sizes in compositions(n, (n,) * components):
         pools = [enumerate_partitions(s) for s in sizes]
         yield from itertools.product(*pools)

@@ -1,11 +1,12 @@
 """Independent oracles and exhaustive self-check suites.
 
-The oracles share no code with the production modules: Schur
-products from Kostka numbers counted in Schur polynomials, and double
-cosets found by orbit closure over all of S_n.  Each suite compares an
-independent value with the production code over a finite family and
-returns ``{"checked": count, "failures": [message, ...]}``.  The CLI
-and the acceptance tests both run these.
+The oracles use the enumerators of ``shapes`` and the permutation
+primitives of ``perms``, but never call ``lr``, ``tableaux`` or
+``branching``: Schur products from Kostka numbers counted in Schur
+polynomials, and double cosets found by orbit closure over all of S_n.
+Each suite compares an independent value with the production code over
+a finite family and returns ``{"checked": count, "failures": [message,
+...]}``.  The CLI and the acceptance tests both run these.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cache, partial
 from math import factorial
 
 from .branching import branch_first, branch_second, wreath_specht_dimension
-from .lr import lr_coefficient
+from .lr import _lr_coefficient
 from .perms import (Perm, all_perms, compose, descents, double_coset_reps,
                     from_cycles, inverse, length, rho_cosets,
                     standard_filling, to_cycles)
@@ -89,18 +90,6 @@ def _kostka(shape: Partition) -> dict:
     return kostka
 
 
-def _capped_compositions(total: int, caps: tuple[int, ...]):
-    """All a with len(a) == len(caps), 0 <= a_i <= caps[i], sum(a) == total."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    room = sum(caps[1:])
-    for first in range(max(0, total - room), min(total, caps[0]) + 1):
-        for rest in _capped_compositions(total - first, caps[1:]):
-            yield (first,) + rest
-
-
 def _as_partition(exp) -> Partition:
     return tuple(sorted((e for e in exp if e), reverse=True))
 
@@ -129,7 +118,7 @@ def schur_product_oracle(alpha: Partition, beta: Partition) -> dict:
     product = {
         mu: sum(k_alpha.get(_as_partition(x), 0)
                 * k_beta.get(_as_partition(m - y for m, y in zip(mu, x)), 0)
-                for x in _capped_compositions(a, mu))
+                for x in compositions(a, mu))
         for mu in shapes}
     expansion: dict[Partition, int] = {}
     for i, lead in enumerate(shapes):
@@ -147,7 +136,6 @@ def schur_product_oracle(alpha: Partition, beta: Partition) -> dict:
     return expansion
 
 
-@cache
 def young_subgroup(gamma: Composition) -> tuple[Perm, ...]:
     """All elements of the Young subgroup S_gamma inside S_n, n = |gamma|."""
     blocks = []
@@ -225,7 +213,7 @@ def positive_compositions(n: int):
     so the coset suites quantify over these.
     """
     return (tuple(p + 1 for p in c)
-            for k in range(n + 1) for c in compositions(n - k, k))
+            for k in range(n + 1) for c in compositions(n - k, (n - k,) * k))
 
 
 def verify_lr_oracle(max_total: int = 8) -> dict:
@@ -242,7 +230,7 @@ def verify_lr_oracle(max_total: int = 8) -> dict:
                     expansion = schur_product_oracle(alpha, beta)
                     for lam in enumerate_partitions(total):
                         want = expansion.get(lam, 0)
-                        got = lr_coefficient(lam, alpha, beta)
+                        got = _lr_coefficient(lam, alpha, beta)
                         checked += 1
                         if got != want:
                             failures.append(

@@ -79,6 +79,13 @@ def test_filtration_eta_components_must_be_partitions():
             filtration_multiplicities(eye, eta)
 
 
+def test_filtration_matrix_entries_must_be_zero_or_one():
+    for A in (((2,),), ((1, -1),), ((1, 0), (0, 2))):
+        eta = ((1,),) * len(A)
+        with pytest.raises(ValueError, match="0 or 1"):
+            filtration_multiplicities(A, eta)
+
+
 def test_branch_first_worked_example():
     mults = branch_first(3, LAM36)
     assert mults[NU36] == 1

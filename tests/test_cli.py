@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -34,6 +35,131 @@ PINNED_STDOUT = {
         ('{"lambda": [[1], [1], []], "m": 3, '
          '"multiplicities": [{"mult": 2, "nu": [[1], [], []]}, '
          '{"mult": 1, "nu": [[], [1], []]}], "n": 2, "rule": "second"}\n'),
+    ("partitions", "4"):
+        '[[4],[3,1],[2,2],[2,1,1],[1,1,1,1]]\n',
+    ("partitions", "4", "--json"):
+        ('{"m": 4, "partitions": [[4], [3, 1], [2, 2], [2, 1, '
+         '1], [1, 1, 1, 1]]}\n'),
+    ("dim", "--partition", "[3,2]"):
+        '5\n',
+    ("dim", "--partition", "[3,2]", "--json"):
+        '{"dim": 5, "partition": [3, 2]}\n',
+    ("lr", "--lambda", "[3,2,1]", "--alpha", "[2,1]", "--beta", "[2,1]"):
+        '2\n',
+    ("lr", "--lambda", "[3,2,1]", "--alpha", "[2,1]", "--beta", "[2,1]",
+     "--json"):
+        ('{"alpha": [2, 1], "beta": [2, 1], "coefficient": 2, '
+         '"lambda": [3, 2, 1]}\n'),
+    ("lr-multi", "--lambda", "[3,2,1]", "--parts", "[2];[1,1];[1,1]"):
+        '2\n',
+    ("lr-multi", "--lambda", "[3,2,1]", "--parts", "[2];[1,1];[1,1]",
+     "--json"):
+        ('{"coefficient": 2, "lambda": [3, 2, 1], "parts": '
+         '[[2], [1, 1], [1, 1]]}\n'),
+    ("young-layer", "3"):
+        ('upper: [[3], [2, 1], [1, 1, 1]]\n'
+         'lower: [[2], [1, 1]]\n'
+         'edges: 4\n'),
+    ("young-layer", "3", "--json"):
+        ('{"adjacency": [[1, 0], [1, 1], [0, 1]], "edges": '
+         '[{"lower": 1, "upper": 1}, {"lower": 2, "upper": 2}, '
+         '{"lower": 1, "upper": 2}, {"lower": 2, "upper": 3}], '
+         '"lower": [[2], [1, 1]], "m": 3, "upper": [[3], [2, '
+         '1], [1, 1, 1]]}\n'),
+    ("labellings", "-m", "3", "--lambda", "[[2],[1,1],[1,1]]", "--nu",
+     "[[3],[2,1]]"):
+        ('4 good labellings, coefficient sum 1\n'
+         '  M(L)=0  (1,1):[2] (2,2):[1] (2,1):[1] (3,2):[2]\n'
+         '  M(L)=1  (1,1):[2] (2,2):[1] (2,1):[1] (3,2):[1, 1]\n'
+         '  M(L)=0  (1,1):[1, 1] (2,2):[1] (2,1):[1] (3,2):[2]\n'
+         '  M(L)=0  (1,1):[1, 1] (2,2):[1] (2,1):[1] (3,2):[1, 1]\n'),
+    ("branch-first", "-m", "3", "--lambda", "[[2],[1,1],[1,1]]"):
+        ('rule=first m=3 n=6 lambda=[[2], [1, 1], [1, 1]]\n'
+         '  nu=[[3], [2, 1]] mult=1\n'
+         '  nu=[[3, 1], [1, 1]] mult=1\n'
+         '  nu=[[3], [1, 1, 1]] mult=1\n'
+         '  nu=[[2], [2, 2]] mult=1\n'
+         '  nu=[[2], [2, 1, 1]] mult=1\n'
+         '  nu=[[2, 1], [2, 1]] mult=1\n'
+         '  nu=[[2, 1, 1], [1, 1]] mult=1\n'
+         '  nu=[[2, 1], [1, 1, 1]] mult=1\n'
+         '  nu=[[2], [1, 1, 1, 1]] mult=1\n'),
+    ("branch-first", "-m", "3", "--lambda", "[[2],[1,1],[1,1]]", "--json"):
+        ('{"lambda": [[2], [1, 1], [1, 1]], "m": 3, '
+         '"multiplicities": [{"mult": 1, "nu": [[3], [2, 1]]}, '
+         '{"mult": 1, "nu": [[3, 1], [1, 1]]}, {"mult": 1, '
+         '"nu": [[3], [1, 1, 1]]}, {"mult": 1, "nu": [[2], [2, '
+         '2]]}, {"mult": 1, "nu": [[2], [2, 1, 1]]}, {"mult": '
+         '1, "nu": [[2, 1], [2, 1]]}, {"mult": 1, "nu": [[2, 1, '
+         '1], [1, 1]]}, {"mult": 1, "nu": [[2, 1], [1, 1, 1]]}, '
+         '{"mult": 1, "nu": [[2], [1, 1, 1, 1]]}], "n": 6, '
+         '"rule": "first"}\n'),
+    ("branch-first", "-m", "3", "--lambda", "[[2],[1,1],[1,1]]", "--method",
+     "both"):
+        ('rule=first m=3 n=6 lambda=[[2], [1, 1], [1, 1]]\n'
+         '  nu=[[3], [2, 1]] mult=1\n'
+         '  nu=[[3, 1], [1, 1]] mult=1\n'
+         '  nu=[[3], [1, 1, 1]] mult=1\n'
+         '  nu=[[2], [2, 2]] mult=1\n'
+         '  nu=[[2], [2, 1, 1]] mult=1\n'
+         '  nu=[[2, 1], [2, 1]] mult=1\n'
+         '  nu=[[2, 1, 1], [1, 1]] mult=1\n'
+         '  nu=[[2, 1], [1, 1, 1]] mult=1\n'
+         '  nu=[[2], [1, 1, 1, 1]] mult=1\n'),
+    ("branch-first", "-m", "3", "--lambda", "[[2],[1,1],[1,1]]", "--method",
+     "both", "--json"):
+        ('{"lambda": [[2], [1, 1], [1, 1]], "m": 3, '
+         '"multiplicities": [{"mult": 1, "nu": [[3], [2, 1]]}, '
+         '{"mult": 1, "nu": [[3, 1], [1, 1]]}, {"mult": 1, '
+         '"nu": [[3], [1, 1, 1]]}, {"mult": 1, "nu": [[2], [2, '
+         '2]]}, {"mult": 1, "nu": [[2], [2, 1, 1]]}, {"mult": '
+         '1, "nu": [[2, 1], [2, 1]]}, {"mult": 1, "nu": [[2, 1, '
+         '1], [1, 1]]}, {"mult": 1, "nu": [[2, 1], [1, 1, 1]]}, '
+         '{"mult": 1, "nu": [[2], [1, 1, 1, 1]]}], "n": 6, '
+         '"rule": "first"}\n'),
+    ("branch-second", "-m", "3", "--lambda", "[[1],[1],[]]"):
+        ('rule=second m=3 n=2 lambda=[[1], [1], []]\n'
+         '  nu=[[1], [], []] mult=2\n'
+         '  nu=[[], [1], []] mult=1\n'),
+    ("wreath-dim", "-m", "3", "--lambda", "[[2],[1,1],[1,1]]"):
+        '360\n',
+    ("wreath-dim", "-m", "3", "--lambda", "[[2],[1,1],[1,1]]", "--json"):
+        '{"dim": 360, "lambda": [[2], [1, 1], [1, 1]], "m": 3}\n',
+    ("cosets", "--gamma", "(3,1,0,2,3)", "--alpha", "(8,1)"):
+        ('e\n'
+         '(6,9,8,7)\n'
+         '(4,9,8,7,6,5)\n'
+         '(3,9,8,7,6,5,4)\n'),
+    ("rho", "--sizes", "(3,1,0,2,3)"):
+        ('rho_1 = (3,9,8,7,6,5,4)\n'
+         'rho_2 = (4,9,8,7,6,5)\n'
+         'rho_4 = (6,9,8,7)\n'
+         'rho_5 = e\n'),
+    ("rho", "--sizes", "(3,1,0,2,3)", "--json"):
+        ('{"reps": [{"cycles": "(3,9,8,7,6,5,4)", "index": 1}, '
+         '{"cycles": "(4,9,8,7,6,5)", "index": 2}, {"cycles": '
+         '"(6,9,8,7)", "index": 4}, {"cycles": "e", "index": '
+         '5}], "sizes": [3, 1, 0, 2, 3]}\n'),
+    ("verify", "--suite", "length-lemma", "--max-n", "3"):
+        'suite length-lemma: 7 instances checked, 0 failures\n',
+    ("verify", "--suite", "length-lemma", "--max-n", "3", "--json"):
+        '{"checked": 7, "failures": [], "suite": "length-lemma"}\n',
+    ("dim", "--partition", "[1,2]", "--json"):
+        ('{"code": "computation-error", "message": "not a '
+         'partition: (1, 2)", "status": "error"}\n'),
+}
+
+# Exit codes of the PINNED_STDOUT commands that do not succeed.
+PINNED_EXIT = {("dim", "--partition", "[1,2]", "--json"): 2}
+
+# Commands whose stdout is too long to pin in full: (bytes, SHA-256).
+_M5 = ("branch-first", "-m", "5", "--lambda",
+       "[[1],[1,1,1],[2],[1,1],[2],[3],[1]]")
+PINNED_DIGEST = {
+    _M5: (492807, "14616026c9161ccf55b08aa80dc934b27420280d"
+                  "95a969f8568e6906ff979e73"),
+    _M5 + ("--json",): (571270, "f93740d1d3e2db45dee2710a2396e2d1"
+                                "26f6b857a1c15fcf1d0131f2c7a917fb"),
 }
 
 
@@ -231,8 +357,16 @@ def test_verify_oracle_bounds_checked_before_work(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", list(PINNED_STDOUT))
 def test_pinned_stdout(capsys, argv):
     code, out, _ = run(capsys, *argv)
-    assert code == 0
+    assert code == PINNED_EXIT.get(argv, 0)
     assert out == PINNED_STDOUT[argv]
+
+
+@pytest.mark.parametrize("argv", list(PINNED_DIGEST))
+def test_pinned_stdout_digest(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == PINNED_DIGEST[argv]
 
 
 @pytest.mark.parametrize("argv", [

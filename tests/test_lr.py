@@ -45,6 +45,17 @@ def test_lr_entry_points_reject_non_partitions():
             call()
 
 
+def test_lr_entry_points_check_before_the_cache():
+    # True == 1 and both hash alike, so a cached answer for (1,) must
+    # not be returned for (True,)
+    assert lr_coefficient((3,), (2,), (1,)) == 1
+    assert lr_multi((2, 1), ((1,), (1,), (1,))) == 2
+    for call in (lambda: lr_coefficient((3,), (2,), (True,)),
+                 lambda: lr_multi((2, 1), ((True,), (1,), (1,)))):
+        with pytest.raises(ValueError, match="not a partition"):
+            call()
+
+
 def test_lr_multi_degree_filter():
     assert lr_multi((3,), ((1,), (1,))) == 0
     assert lr_multi((2, 1), ((2,), (2,))) == 0

@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 
-from wreathbranch.shapes import (check_composition, concat_parts,
-                                 enumerate_partitions, multipartitions,
-                                 removable_boxes, size_composition,
-                                 specht_dimension)
+from wreathbranch.shapes import (check_composition, compositions,
+                                 concat_parts, enumerate_partitions,
+                                 multipartitions, removable_boxes,
+                                 size_composition, specht_dimension)
 
 from helpers import count_standard_tableaux, partitions_by_filter
 
@@ -65,6 +67,22 @@ def test_dimension_branching_shadow(m):
     for lam in enumerate_partitions(m):
         assert specht_dimension(lam) == sum(specht_dimension(d)
                                             for d in removable_boxes(lam))
+
+
+def test_specht_dimension_checks_before_the_cache():
+    assert specht_dimension((1,)) == 1
+    with pytest.raises(ValueError, match="not a partition"):
+        specht_dimension((True,))
+
+
+@pytest.mark.parametrize("caps", [(), (0,), (3,), (0, 0), (2, 0, 3),
+                                  (1, 1, 1, 1), (4, 2), (0, 3, 0, 2, 1)])
+def test_compositions_against_a_product_filter(caps):
+    for n in range(sum(caps) + 2):
+        want = [a for a in itertools.product(*(range(c + 1) for c in caps))
+                if sum(a) == n]
+        # first part largest first: the reverse of the product's order
+        assert list(compositions(n, caps)) == want[::-1]
 
 
 def test_check_composition():
