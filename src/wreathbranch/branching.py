@@ -72,6 +72,15 @@ def _size_flows(support, row_sums, col_sums):
     yield from rows(0, tuple(col_sums))
 
 
+def _check_nodes(layer: YoungLayer, lam, nu):
+    """`lam` and `nu` as multipartitions on the layer's nodes, or ValueError."""
+    lam = tuple(map(check_partition, lam))
+    nu = tuple(map(check_partition, nu))
+    if len(lam) != len(layer.upper) or len(nu) != len(layer.lower):
+        raise ValueError("component count does not match the layer")
+    return lam, nu
+
+
 def enumerate_good_labellings(layer: YoungLayer, lam: Multipartition,
                               nu: Multipartition) -> list[tuple]:
     """All partition labellings of the edges with matching sizes at nodes.
@@ -79,11 +88,34 @@ def enumerate_good_labellings(layer: YoungLayer, lam: Multipartition,
     Each labelling is a tuple of labels aligned with layer.edges.  At
     each upper node the incident label sizes must sum to the size of
     the corresponding component of `lam`, and likewise for `nu` below.
+    ValueError unless lam and nu are multipartitions with one component
+    per node.
     """
-    lam = tuple(tuple(p) for p in lam)
-    nu = tuple(tuple(p) for p in nu)
-    if len(lam) != len(layer.upper) or len(nu) != len(layer.lower):
-        raise ValueError("component count does not match the layer")
+    return _good_labellings(layer, *_check_nodes(layer, lam, nu))
+
+
+def labelling_coefficient(layer: YoungLayer, lam: Multipartition,
+                          nu: Multipartition, labels) -> int:
+    """Product over all nodes of the generalized LR coefficient.
+
+    `labels` is aligned with layer.edges.  At an upper node the incident
+    edge labels are taken in ascending order of the lower endpoint, and
+    vice versa; empty labels are kept (they only matter through the
+    degree filter).  ValueError unless lam and nu are multipartitions
+    with one component per node and `labels` one partition per edge.
+    """
+    # checked before the cached LR cores: True == 1 and both hash alike
+    lam, nu = _check_nodes(layer, lam, nu)
+    labels = tuple(map(check_partition, labels))
+    if len(labels) != len(layer.edges):
+        raise ValueError("labels must have one entry per edge")
+    return _labelling_coefficient(layer, lam, nu, labels)
+
+
+# branch_first holds checked partitions, so it calls the two cores below.
+
+def _good_labellings(layer: YoungLayer, lam: Multipartition,
+                     nu: Multipartition) -> list[tuple]:
     row_sums = size_composition(lam)
     col_sums = size_composition(nu)
     out = []
@@ -94,15 +126,8 @@ def enumerate_good_labellings(layer: YoungLayer, lam: Multipartition,
     return out
 
 
-def labelling_coefficient(layer: YoungLayer, lam: Multipartition,
-                          nu: Multipartition, labels) -> int:
-    """Product over all nodes of the generalized LR coefficient.
-
-    `labels` is aligned with layer.edges.  At an upper node the incident
-    edge labels are taken in ascending order of the lower endpoint, and
-    vice versa; empty labels are kept (they only matter through the
-    degree filter).
-    """
+def _labelling_coefficient(layer: YoungLayer, lam: Multipartition,
+                           nu: Multipartition, labels) -> int:
     coeff = 1
     for i, part in enumerate(lam):
         incident = [lbl for (a, _), lbl in zip(layer.edges, labels) if a == i]
@@ -206,9 +231,8 @@ def branch_first(m: int, lam: Multipartition, method: str = "matrices") -> dict:
         n = sum(map(sum, lam))
         result: dict[Multipartition, int] = {}
         for nu in multipartitions(n, len(layer.lower)):
-            total = sum(labelling_coefficient(layer, lam, nu, labels)
-                        for labels in enumerate_good_labellings(layer, lam,
-                                                                nu))
+            total = sum(_labelling_coefficient(layer, lam, nu, labels)
+                        for labels in _good_labellings(layer, lam, nu))
             if total:
                 result[nu] = total
         return result

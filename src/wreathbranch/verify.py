@@ -2,8 +2,8 @@
 
 The oracles use the enumerators of ``shapes`` and the permutation
 primitives of ``perms``, but never call ``lr``, ``tableaux`` or
-``branching``: Schur products from Kostka numbers counted in Schur
-polynomials, and double cosets found by orbit closure over all of S_n.
+``branching``: Schur products from Kostka numbers by the Pieri rule, and
+double cosets found by orbit closure over all of S_n.
 Each suite compares an independent value with the production code over
 a finite family and returns ``{"checked": count, "failures": [message,
 ...]}``.  The CLI and the acceptance tests both run these.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from functools import cache, partial
 from math import factorial
+from operator import itemgetter
 
 from .branching import branch_first, branch_second, wreath_specht_dimension
 from .lr import _lr_coefficient
@@ -25,73 +26,52 @@ from .shapes import (Composition, Partition, compositions,
 
 # Largest |alpha| + |beta| for schur_product_oracle, and largest n for
 # brute_force_double_cosets, which walks all n! permutations.
-SCHUR_ORACLE_BOUND = 10
+SCHUR_ORACLE_BOUND = 12
 ORACLE_BOUND = 7
 
 
-def schur_monomials(shape: Partition, nvars: int) -> dict:
-    """The Schur polynomial s_shape in `nvars` variables.
+@cache
+def _kostka_at(lam: Partition, mu: Partition) -> int:
+    """K(lam, mu), the number of semistandard tableaux of shape lam and
+    content mu.
 
-    Returned as a map from exponent vectors (length nvars) to
-    coefficients, built by summing x^content over all semistandard
-    tableaux of the shape with entries at most nvars.
+    Pieri rule: the entries equal to l(mu) fill a horizontal strip
+    lam/kappa of size mu_last, so K(lam, mu) is the sum of K(kappa, mu
+    without its last part) over such kappa, found by removing up to
+    lam_i - lam_(i+1) boxes from row i.
     """
-    shape = tuple(shape)
-    poly: dict[tuple[int, ...], int] = {}
-    remaining = sum(shape)
-    if len(shape) > nvars > 0 or (shape and nvars == 0):
-        return {}
-    if remaining == 0:
-        return {(0,) * nvars: 1}
-
-    boxes = [(i, j) for i in range(len(shape)) for j in range(shape[i])]
-    content = [0] * nvars
-
-    def backtrack(pos: int, filling: dict):
-        if pos == len(boxes):
-            key = tuple(content)
-            poly[key] = poly.get(key, 0) + 1
-            return
-        i, j = boxes[pos]
-        lo = max(filling.get((i, j - 1), 1), filling.get((i - 1, j), 0) + 1)
-        for v in range(lo, nvars + 1):
-            filling[(i, j)] = v
-            content[v - 1] += 1
-            backtrack(pos + 1, filling)
-            content[v - 1] -= 1
-            del filling[(i, j)]
-
-    backtrack(0, {})
-    return poly
+    if len(lam) > len(mu):  # the first column needs len(lam) distinct entries
+        return 0
+    if not mu:
+        return 1
+    caps = tuple(p - q for p, q in zip(lam, lam[1:] + (0,)))
+    return sum(_kostka_at(tuple(p - r for p, r in zip(lam, strip) if p > r),
+                          mu[:-1])
+               for strip in compositions(mu[-1], caps))
 
 
 @cache
 def _kostka(shape: Partition) -> dict:
     """The coefficients of s_shape at partitions: the Kostka numbers.
 
-    Maps each partition mu of |shape| to K(shape, mu) = [x^mu] s_shape,
-    a value that does not depend on the number of variables once there
-    are at least l(mu) of them.  So the polynomial is generated once, in
-    |shape| variables, and must be symmetric, or RuntimeError is raised;
-    only the partition-indexed coefficients are kept, since by symmetry
-    they determine the rest.
+    Maps each partition mu of |shape| with K(shape, mu) != 0 to it.
     """
-    nvars = sum(shape)
-    poly = schur_monomials(shape, nvars)
-    kostka: dict[Partition, int] = {}
-    for exp, c in poly.items():
-        if len(exp) != nvars or any(
-                poly.get(exp[:i] + (exp[i + 1], exp[i]) + exp[i + 2:]) != c
-                for i in range(nvars - 1)):
-            raise RuntimeError(f"s_{shape} in {nvars} variables "
-                               "is not symmetric")
-        if all(exp[i] >= exp[i + 1] for i in range(nvars - 1)):
-            kostka[tuple(e for e in exp if e)] = c
-    return kostka
+    return {mu: k for mu in enumerate_partitions(sum(shape))
+            if (k := _kostka_at(shape, mu))}
 
 
 def _as_partition(exp) -> Partition:
     return tuple(sorted((e for e in exp if e), reverse=True))
+
+
+@cache
+def _splits(a: int, mu: Partition) -> dict:
+    """Count the compositions x <= mu of size a by (sort x, sort(mu - x))."""
+    table: dict[tuple[Partition, Partition], int] = {}
+    for x in compositions(a, mu):
+        key = (_as_partition(x), _as_partition(m - y for m, y in zip(mu, x)))
+        table[key] = table.get(key, 0) + 1
+    return table
 
 
 def schur_product_oracle(alpha: Partition, beta: Partition) -> dict:
@@ -101,7 +81,9 @@ def schur_product_oracle(alpha: Partition, beta: Partition) -> dict:
     and setting trailing variables to zero is a ring map, so for each
     partition mu of n = |alpha|+|beta| the coefficient [x^mu] of the
     product is computed in l(mu) variables:
-    the sum over a <= mu of K(alpha, sort a) K(beta, sort(mu - a)).
+    the sum over a <= mu of K(alpha, sort a) K(beta, sort(mu - a)),
+    read off the split table of (|alpha|, mu), which every pair of
+    shapes of these sizes shares.
     Then the Schur polynomial of the lexicographically greatest
     surviving partition is subtracted off, repeatedly, using
     [x^mu] s_lead = K(lead, mu).  Returns a map partition -> positive
@@ -116,9 +98,8 @@ def schur_product_oracle(alpha: Partition, beta: Partition) -> dict:
     # enumerate_partitions lists partitions in descending lex order
     shapes = enumerate_partitions(n)
     product = {
-        mu: sum(k_alpha.get(_as_partition(x), 0)
-                * k_beta.get(_as_partition(m - y for m, y in zip(mu, x)), 0)
-                for x in compositions(a, mu))
+        mu: sum(c * k_alpha.get(rho, 0) * k_beta.get(sigma, 0)
+                for (rho, sigma), c in _splits(a, mu).items())
         for mu in shapes}
     expansion: dict[Partition, int] = {}
     for i, lead in enumerate(shapes):
@@ -306,20 +287,23 @@ def verify_stabilizers(max_n: int = 6) -> dict:
     failures = []
     for n in range(1, max_n + 1):
         for gamma in positive_compositions(n):
-            sg = young_subgroup(gamma)
+            # permutations padded with a fixed 0, so each itemgetter
+            # below returns a tuple, also for n = 1
+            sg = [(0, *g) for g in young_subgroup(gamma)]
             flat0 = standard_filling(gamma)
             for sigma in all_perms(n):
                 sinv = inverse(sigma)
                 flat = [0] * n
                 for i, e in enumerate(flat0):
                     flat[sigma[i] - 1] = e
-                stab = {theta for theta in all_perms(n)
+                stab = {(0, *theta) for theta in all_perms(n)
                         if all(flat[theta[i] - 1] == flat[i] for i in range(n))} \
                     if n <= 4 else None
-                # sinv * g * sigma, in one pass
-                conj = {tuple(sigma[g[s - 1] - 1] for s in sinv) for g in sg}
+                # sinv * g * sigma: entry x is sigma(g(sinv(x)))
+                at, sig = itemgetter(0, *sinv), (0, *sigma)
+                conj = {itemgetter(*at(g))(sig) for g in sg}
                 box = (0, *flat)  # box[x] is the entry in box x
-                ok = all(list(map(box.__getitem__, h)) == flat for h in conj)
+                ok = all(itemgetter(*h)(box) == box for h in conj)
                 sizes_match = len(conj) == _stab_order(flat)
                 checked += 1
                 if not ok or not sizes_match or (stab is not None

@@ -174,7 +174,48 @@ def parse_cycles(text: str, n: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def full_product_schur_expansion(alpha, beta, schur_monomials) -> dict:
+def schur_monomials(shape: tuple[int, ...], nvars: int) -> dict:
+    """The Schur polynomial s_shape in `nvars` variables.
+
+    Returned as a map from exponent vectors (length nvars) to
+    coefficients, built by summing x^content over all semistandard
+    tableaux of the shape with entries at most nvars.  The reference
+    for the Pieri-rule Kostka numbers of ``verify``.
+    """
+    shape = tuple(shape)
+    poly: dict[tuple[int, ...], int] = {}
+    remaining = sum(shape)
+    if len(shape) > nvars > 0 or (shape and nvars == 0):
+        return {}
+    if remaining == 0:
+        return {(0,) * nvars: 1}
+
+    boxes = [(i, j) for i in range(len(shape)) for j in range(shape[i])]
+    # the position of the box to the left of each box and of the box
+    # above it, in the reading order of `boxes`, or None
+    left = [k - 1 if j else None for k, (i, j) in enumerate(boxes)]
+    above = [k - shape[i - 1] if i else None for k, (i, j) in enumerate(boxes)]
+    filling = [0] * len(boxes)
+    content = [0] * nvars
+
+    def backtrack(pos: int):
+        if pos == len(boxes):
+            key = tuple(content)
+            poly[key] = poly.get(key, 0) + 1
+            return
+        lo = max(1 if left[pos] is None else filling[left[pos]],
+                 1 if above[pos] is None else filling[above[pos]] + 1)
+        for v in range(lo, nvars + 1):
+            filling[pos] = v
+            content[v - 1] += 1
+            backtrack(pos + 1)
+            content[v - 1] -= 1
+
+    backtrack(0)
+    return poly
+
+
+def full_product_schur_expansion(alpha, beta) -> dict:
     """s_alpha * s_beta in the Schur basis by multiplying whole polynomials.
 
     The reference route for ``verify.schur_product_oracle``: expand both

@@ -66,6 +66,31 @@ def test_good_labellings_component_mismatch():
         enumerate_good_labellings(layer, ((1,),), NU36)
 
 
+def test_good_labellings_reject_non_multipartitions():
+    layer = young_layer(3)
+    for lam, nu in ((((1, 1), (2, 1), (0, 1)), NU36),
+                    (LAM36, ((3,), (1, 2))),
+                    (((True,), (1, 1), (1, 1)), NU36)):
+        with pytest.raises(ValueError, match="not a partition"):
+            enumerate_good_labellings(layer, lam, nu)
+
+
+def test_labelling_coefficient_checks_before_the_cache():
+    # True == 1 and both hash alike, so a cached answer for the int
+    # labels must not be returned for the bool ones
+    layer = young_layer(3)
+    labels = ((2,), (1,), (1,), (1, 1))
+    assert labelling_coefficient(layer, LAM36, NU36, labels) == 1
+    for bad in (((2,), (True,), (True,), (True, True)),
+                ((2,), (1,), (1,), (1, 2)),
+                ((2,), (1,), (1,))):
+        with pytest.raises(ValueError):
+            labelling_coefficient(layer, LAM36, NU36, bad)
+    with pytest.raises(ValueError, match="not a partition"):
+        labelling_coefficient(layer, ((2,), (1, 1), (True, True)), NU36,
+                              labels)
+
+
 def test_filtration_identity_matrix():
     eye = ((1, 0), (0, 1))
     for eta in [((2,), (1,)), ((1, 1), ()), ((3, 1), (2, 2))]:

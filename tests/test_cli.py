@@ -347,9 +347,10 @@ def test_verify_oracle_bounds_checked_before_work(capsys, monkeypatch):
 
     monkeypatch.setattr(verify, "schur_product_oracle", no_work)
     monkeypatch.setattr(verify, "brute_force_double_cosets", no_work)
-    for suite, bound in (("lr-oracle", "11"), ("cosets", "8")):
+    for suite, bound in (("lr-oracle", verify.SCHUR_ORACLE_BOUND + 1),
+                         ("cosets", 8)):
         code, out, _ = run(capsys, "verify", "--suite", suite,
-                           "--max-n", bound, "--json")
+                           "--max-n", str(bound), "--json")
         assert code == 2
         assert "oracle bound exceeded" in json.loads(out)["message"]
 

@@ -4,9 +4,10 @@ import pytest
 
 from wreathbranch.lr import lr_coefficient, lr_multi
 from wreathbranch.shapes import enumerate_partitions, specht_dimension
-from wreathbranch.verify import schur_monomials, schur_product_oracle
+from wreathbranch.verify import (SCHUR_ORACLE_BOUND, _kostka,
+                                 schur_product_oracle)
 
-from helpers import full_product_schur_expansion
+from helpers import full_product_schur_expansion, schur_monomials
 
 
 def test_lr_coefficient_examples():
@@ -118,13 +119,33 @@ def test_schur_product_oracle_matches_the_full_product():
             for alpha in enumerate_partitions(a):
                 for beta in enumerate_partitions(total - a):
                     assert schur_product_oracle(alpha, beta) == \
-                        full_product_schur_expansion(alpha, beta,
-                                                     schur_monomials)
+                        full_product_schur_expansion(alpha, beta)
+
+
+@pytest.mark.parametrize("size", range(9))
+def test_pieri_kostka_matches_the_tableau_counter(size):
+    # the counter's polynomial in |lam| variables must be symmetric, and
+    # its coefficients at partitions are the Kostka numbers.  Symmetry is
+    # checked on the generators (1 2) and (1 2 ... n) of S_n: each maps
+    # the finite support into itself, so onto it.
+    for lam in enumerate_partitions(size):
+        poly = schur_monomials(lam, size)
+        for exp, c in poly.items():
+            assert poly.get(exp[1:2] + exp[:1] + exp[2:]) == c, (lam, exp)
+            assert poly.get(exp[1:] + exp[:1]) == c, (lam, exp)
+        at_partitions = {tuple(e for e in exp if e): c
+                         for exp, c in poly.items()
+                         if list(exp) == sorted(exp, reverse=True)}
+        assert _kostka(lam) == at_partitions
 
 
 def test_schur_product_oracle_bound():
+    assert schur_product_oracle((SCHUR_ORACLE_BOUND,), ()) == \
+        {(SCHUR_ORACLE_BOUND,): 1}
+    first_rejected = SCHUR_ORACLE_BOUND + 1
     with pytest.raises(ValueError, match="oracle bound exceeded"):
-        schur_product_oracle((6,), (5,))
+        schur_product_oracle((first_rejected // 2,),
+                             (first_rejected - first_rejected // 2,))
 
 
 def test_lr_symmetry_small():

@@ -48,8 +48,11 @@ def test_hook_divisibility_is_checked_under_optimize():
 
 
 def test_oracle_partition_check_survives_optimize():
+    # K((2,), (1, 1)) is 1, not 3, so the peel meets a negative
+    # coefficient at (1, 1)
     done = run_optimized("import wreathbranch.verify as v\n"
-                         "v.schur_monomials = lambda shape, nvars: {(0, 1): 1}\n"
+                         "v._kostka = lambda shape: {(1,): 1, (2,): 1,"
+                         " (1, 1): 3}\n"
                          "v.schur_product_oracle((1,), (1,))\n")
     assert done.returncode != 0
     assert "RuntimeError" in done.stderr
