@@ -5,8 +5,7 @@ from .branching import (YoungLayer, branch_first, branch_second,
                         labelling_coefficient, wreath_specht_dimension,
                         young_layer)
 from .lr import lr_coefficient, lr_multi
-from .perms import (descents, double_coset_reps, enumerate_weakly_increasing,
-                    length, rho_cosets)
+from .perms import descents, double_coset_reps, length, rho_cosets
 from .shapes import (concat_parts, enumerate_partitions, multipartitions,
                      removable_boxes, size_composition, specht_dimension)
 from .tableaux import (enumerate_skew_ssyt, is_lattice_word,
@@ -17,8 +16,7 @@ __all__ = [
     "enumerate_good_labellings", "filtration_multiplicities",
     "labelling_coefficient", "wreath_specht_dimension", "young_layer",
     "lr_coefficient", "lr_multi",
-    "descents", "double_coset_reps", "enumerate_weakly_increasing", "length",
-    "rho_cosets",
+    "descents", "double_coset_reps", "length", "rho_cosets",
     "concat_parts", "enumerate_partitions", "multipartitions",
     "removable_boxes", "size_composition", "specht_dimension",
     "enumerate_skew_ssyt", "is_lattice_word", "reverse_reading_word",

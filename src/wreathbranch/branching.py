@@ -10,6 +10,7 @@ component, weighted by a hook-length dimension.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cache
 from math import factorial
 from typing import NamedTuple
@@ -17,7 +18,8 @@ from typing import NamedTuple
 from .lr import _lr_multi
 from .shapes import (Multipartition, Partition, _specht_dimension,
                      check_partition, compositions, enumerate_partitions,
-                     multipartitions, removable_boxes, size_composition)
+                     fillings, multipartitions, removable_boxes,
+                     size_composition)
 
 # A multipartition matrix is a tuple of rows; each row holds one
 # partition per column.  A multiplicity map is a dict multipartition ->
@@ -48,28 +50,6 @@ def young_layer(m: int) -> YoungLayer:
                             for j in range(len(lower)))
                       for i in range(len(upper)))
     return YoungLayer(m, upper, lower, edges, adjacency)
-
-
-def _size_flows(support, row_sums, col_sums):
-    """0-patterned integer matrices with the given row and column sums.
-
-    `support` is a 0/1 matrix; a zero entry forces a zero.  Enumerated
-    row by row, each row capped by the column budgets left.
-    """
-    s = len(support)
-
-    def rows(i, budgets):
-        if i == s:
-            if not any(budgets):
-                yield ()
-            return
-        caps = tuple(b if a else 0 for a, b in zip(support[i], budgets))
-        for row in compositions(row_sums[i], caps):
-            nxt = tuple(b - v for b, v in zip(budgets, row))
-            for rest in rows(i + 1, nxt):
-                yield (row,) + rest
-
-    yield from rows(0, tuple(col_sums))
 
 
 def _check_nodes(layer: YoungLayer, lam, nu):
@@ -116,13 +96,14 @@ def labelling_coefficient(layer: YoungLayer, lam: Multipartition,
 
 def _good_labellings(layer: YoungLayer, lam: Multipartition,
                      nu: Multipartition) -> list[tuple]:
+    # a filling's (row, entry) counts are the edge sizes of one labelling
     row_sums = size_composition(lam)
-    col_sums = size_composition(nu)
+    box_rows = [i for i, size in enumerate(row_sums) for _ in range(size)]
     out = []
-    for flow in _size_flows(layer.adjacency, row_sums, col_sums):
-        sizes = [flow[i][j] for (i, j) in layer.edges]
-        out.extend(itertools.product(*(enumerate_partitions(s)
-                                       for s in sizes)))
+    for flat in fillings(layer.adjacency, row_sums, size_composition(nu)):
+        sizes = Counter(zip(box_rows, flat))
+        out.extend(itertools.product(*(enumerate_partitions(sizes[e])
+                                       for e in layer.edges)))
     return out
 
 

@@ -34,8 +34,8 @@ def lr_multi(lam: Partition, parts) -> int:
 
 
 # The entry points check before the cached lookup, as True == 1 and both
-# hash alike.  Callers holding checked partitions call the cores, which
-# check again on a miss only: labelling_coefficient passes its labels on.
+# hash alike.  The cores below do not check: their callers pass checked
+# or enumerated partitions.
 
 def _lr_multi(lam: Partition, parts) -> int:
     """lr_multi without the entry check; () parts leave the key."""
@@ -45,7 +45,6 @@ def _lr_multi(lam: Partition, parts) -> int:
 
 @cache
 def _lr_coefficient(lam: Partition, alpha: Partition, beta: Partition) -> int:
-    lam, alpha, beta = map(check_partition, (lam, alpha, beta))
     if not skew_fits(lam, alpha):
         return 0
     if sum(beta) != sum(lam) - sum(alpha):
@@ -59,9 +58,6 @@ def _lr_multi_sorted(lam: Partition, parts) -> int:
     """lr_multi with `parts` a sorted tuple of partitions."""
     if len(parts) == 2:
         return _lr_coefficient(lam, parts[0], parts[1])
-    check_partition(lam)
-    for p in parts:
-        check_partition(p)
     if sum(map(sum, parts)) != sum(lam):
         return 0
     if len(parts) == 0:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .shapes import Composition, check_composition
+from .shapes import Composition, check_composition, fillings
 
 Perm = tuple[int, ...]
 
@@ -83,57 +83,22 @@ def standard_filling(gamma: Composition) -> tuple[int, ...]:
     return tuple(v + 1 for v, count in enumerate(gamma) for _ in range(count))
 
 
-def enumerate_weakly_increasing(alpha: Composition,
-                                gamma: Composition) -> list[tuple[int, ...]]:
-    """All fillings of shape alpha and type gamma with weakly increasing rows.
-
-    Order: lexicographic.
-    """
-    alpha = check_composition(alpha)
-    gamma = check_composition(gamma)
-    if sum(alpha) != sum(gamma):
-        raise ValueError("shape and type have different sizes")
-    remaining = list(gamma)
-    results: list[tuple[int, ...]] = []
-    flat: list[int] = []
-    row_starts = set(itertools.accumulate((0,) + alpha[:-1]))
-
-    def backtrack(pos: int):
-        if pos == sum(alpha):
-            results.append(tuple(flat))
-            return
-        lo = 1 if pos in row_starts else flat[-1]
-        for v in range(lo, len(gamma) + 1):
-            if remaining[v - 1] == 0:
-                continue
-            remaining[v - 1] -= 1
-            flat.append(v)
-            backtrack(pos + 1)
-            flat.pop()
-            remaining[v - 1] += 1
-
-    backtrack(0)
-    return results
-
-
 def double_coset_reps(gamma: Composition,
                       alpha: Composition) -> tuple[Perm, ...]:
     """A complete non-redundant system of (S_gamma, S_alpha)-double cosets.
 
     One representative per weakly-increasing-row filling of shape alpha
     and type gamma: the stable permutation carrying the standard filling
-    onto that filling.
+    onto that filling, i.e. the box positions sorted stably by entry.
     """
     gamma = check_composition(gamma)
     alpha = check_composition(alpha)
-    std = standard_filling(gamma)
-    reps = []
-    for flat in enumerate_weakly_increasing(alpha, gamma):
-        targets: dict[int, list[int]] = {}
-        for pos in range(len(flat) - 1, -1, -1):
-            targets.setdefault(flat[pos], []).append(pos + 1)
-        reps.append(tuple(targets[v].pop() for v in std))
-    return tuple(reps)
+    if sum(alpha) != sum(gamma):
+        raise ValueError("shape and type have different sizes")
+    full = ((1,) * len(gamma),) * len(alpha)
+    return tuple(tuple(pos + 1 for pos in sorted(range(len(flat)),
+                                                 key=flat.__getitem__))
+                 for flat in fillings(full, alpha, gamma))
 
 
 def rho_cosets(sizes: Composition) -> list[tuple[int, Perm]]:

@@ -32,7 +32,7 @@ def is_partition(parts) -> bool:
 def check_partition(parts) -> Partition:
     """`parts` as a tuple, or ValueError unless it is a partition of ints."""
     parts = tuple(parts)
-    # builtins rather than generators: the LR caches call this per miss
+    # builtins rather than generators: the entry points call this per part
     if set(map(type, parts)) - {int} or not is_partition(parts):
         raise ValueError(f"not a partition: {parts}")
     return parts
@@ -135,6 +135,40 @@ def compositions(n: int, caps):
     for first in range(min(n, head), max(0, n - sum(rest)) - 1, -1):
         for tail in compositions(n - first, rest):
             yield (first,) + tail
+
+
+def fillings(support, row_sums, col_sums) -> list[tuple[int, ...]]:
+    """All flat fillings with weakly increasing rows and the given margins.
+
+    Row i has row_sums[i] boxes and may hold entry j (0-based) only
+    where support[i][j] is 1; entry j is used col_sums[j] times.  The
+    rows are concatenated in order.  Order: lexicographic.
+    """
+    rows = [i for i, size in enumerate(row_sums) for _ in range(size)]
+    n = len(rows)
+    out: list[tuple[int, ...]] = []
+    if n != sum(col_sums):
+        return out
+    remaining = list(col_sums)
+    flat: list[int] = []
+
+    def backtrack(pos: int):
+        if pos == n:
+            out.append(tuple(flat))
+            return
+        i = rows[pos]
+        allowed = support[i]
+        lo = flat[-1] if pos and rows[pos - 1] == i else 0
+        for v in range(lo, len(remaining)):
+            if remaining[v] and allowed[v]:
+                remaining[v] -= 1
+                flat.append(v)
+                backtrack(pos + 1)
+                flat.pop()
+                remaining[v] += 1
+
+    backtrack(0)
+    return out
 
 
 def multipartitions(n: int, components: int):

@@ -122,7 +122,7 @@ def is_semistandard(rows, inner=()) -> bool:
     return True
 
 
-def _reshape(flat, shape):
+def reshape(flat, shape):
     rows = []
     pos = 0
     for part in shape:
@@ -131,12 +131,31 @@ def _reshape(flat, shape):
     return tuple(rows)
 
 
+def fillings_by_filter(support, row_sums, col_sums):
+    """Weakly increasing row fillings with the given margins, by filtering.
+
+    Takes every choice of one multiset of entries per row, in the
+    lexicographic order of the concatenated rows, and keeps those that
+    respect `support` and use entry j exactly col_sums[j] times.
+    """
+    per_row = [itertools.combinations_with_replacement(range(len(col_sums)),
+                                                       size)
+               for size in row_sums]
+    out = []
+    for rows in itertools.product(*per_row):
+        flat = tuple(itertools.chain.from_iterable(rows))
+        if all(support[i][v] for i, row in enumerate(rows) for v in row) \
+                and all(flat.count(j) == c for j, c in enumerate(col_sums)):
+            out.append(flat)
+    return out
+
+
 def standard_tableau(alpha, gamma):
     """Shape-alpha tableau filled row-major with gamma_1 1s, gamma_2 2s, ..."""
     if sum(alpha) != sum(gamma):
         raise ValueError("shape and type have different sizes")
     flat = [v + 1 for v, count in enumerate(gamma) for _ in range(count)]
-    return _reshape(flat, alpha)
+    return reshape(flat, alpha)
 
 
 def act_on_tableau(rows, sigma):
@@ -151,7 +170,7 @@ def act_on_tableau(rows, sigma):
     moved = [0] * len(flat)
     for i, e in enumerate(flat):
         moved[sigma[i] - 1] = e
-    return _reshape(moved, [len(row) for row in rows])
+    return reshape(moved, [len(row) for row in rows])
 
 
 def parse_cycles(text: str, n: int) -> tuple[int, ...]:

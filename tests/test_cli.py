@@ -386,6 +386,7 @@ def test_m_below_one_is_computation_error(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("rho", "--sizes", "(2,-1,1)"),
     ("cosets", "--gamma", "(2,-1)", "--alpha", "(1,)"),
+    ("cosets", "--gamma", "(2)", "--alpha", "(3)"),
 ])
 def test_negative_composition_parts_are_computation_errors(capsys, argv):
     code, out, _ = run(capsys, *argv)

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wreathbranch.perms import (all_perms, compose, descents,
-                                double_coset_reps, enumerate_weakly_increasing,
-                                from_cycles, identity, inverse, length,
-                                rho_cosets, standard_filling, to_cycles)
+                                double_coset_reps, from_cycles, identity,
+                                inverse, length, rho_cosets, standard_filling,
+                                to_cycles)
 from wreathbranch.verify import (brute_force_double_cosets,
                                  positive_compositions, young_subgroup)
 
-from helpers import (act_on_tableau, parse_cycles, set_orbit_double_cosets,
-                     standard_tableau)
+from helpers import (act_on_tableau, parse_cycles, reshape,
+                     set_orbit_double_cosets, standard_tableau)
 
 
 def test_length_and_descents():
@@ -80,28 +80,20 @@ def test_standard_tableau_size_mismatch():
         standard_tableau((2,), (3,))
 
 
-def test_enumerate_weakly_increasing_worked_example():
-    fillings = enumerate_weakly_increasing((8, 1), (3, 1, 0, 2, 3))
-    assert fillings == [
-        (1, 1, 1, 2, 4, 4, 5, 5, 5),
-        (1, 1, 1, 2, 4, 5, 5, 5, 4),
-        (1, 1, 1, 4, 4, 5, 5, 5, 2),
-        (1, 1, 2, 4, 4, 5, 5, 5, 1),
-    ]
-
-
-def test_enumerate_weakly_increasing_small():
-    assert len(enumerate_weakly_increasing((5,), (2, 2, 1))) == 1
-    assert len(enumerate_weakly_increasing((1, 1), (1, 1))) == 2
-
-
 def test_double_coset_reps_act_to_distinct_weakly_increasing():
     for gamma, alpha in [((3, 1, 0, 2, 3), (8, 1)), ((2, 1), (2, 1)),
-                        ((1, 1, 1), (2, 1)), ((4,), (4,))]:
+                        ((1, 1, 1), (2, 1)), ((4,), (4,)), ((0, 2), (1, 0, 1)),
+                        ((), ())]:
         std = standard_tableau(alpha, gamma)
         acted = [tuple(e for row in act_on_tableau(std, rep) for e in row)
                  for rep in double_coset_reps(gamma, alpha)]
-        assert sorted(acted) == enumerate_weakly_increasing(alpha, gamma)
+        # the distinct rearrangements of the standard filling whose rows
+        # weakly increase
+        flat = [e for row in std for e in row]
+        arranged = set(itertools.permutations(flat))
+        want = [f for f in arranged
+                if all(list(row) == sorted(row) for row in reshape(f, alpha))]
+        assert sorted(acted) == sorted(want)
 
 
 def _double_coset_invariant(gamma, alpha, sigma):
@@ -144,8 +136,8 @@ def test_compositions_are_validated():
         double_coset_reps((2, -1), (1,))
     with pytest.raises(ValueError, match="not a composition"):
         double_coset_reps((1,), (2, -1))
-    with pytest.raises(ValueError, match="not a composition"):
-        enumerate_weakly_increasing((2,), (3, -1))
+    with pytest.raises(ValueError, match="different sizes"):
+        double_coset_reps((2,), (3,))
 
 
 def test_brute_force_double_cosets_basics():
