@@ -18,8 +18,7 @@ from typing import NamedTuple
 from .lr import _lr_multi
 from .shapes import (Multipartition, Partition, _specht_dimension,
                      check_partition, compositions, enumerate_partitions,
-                     fillings, multipartitions, removable_boxes,
-                     size_composition)
+                     fillings, removable_boxes, size_composition)
 
 # A multipartition matrix is a tuple of rows; each row holds one
 # partition per column.  A multiplicity map is a dict multipartition ->
@@ -71,72 +70,111 @@ def enumerate_good_labellings(layer: YoungLayer, lam: Multipartition,
     ValueError unless lam and nu are multipartitions with one component
     per node.
     """
-    return _good_labellings(layer, *_check_nodes(layer, lam, nu))
+    lam, nu = _check_nodes(layer, lam, nu)
+    return _good_labellings(layer, size_composition(lam),
+                            size_composition(nu))
 
 
 def labelling_coefficient(layer: YoungLayer, lam: Multipartition,
                           nu: Multipartition, labels) -> int:
     """Product over all nodes of the generalized LR coefficient.
 
-    `labels` is aligned with layer.edges.  At an upper node the incident
-    edge labels are taken in ascending order of the lower endpoint, and
-    vice versa; empty labels are kept (they only matter through the
-    degree filter).  ValueError unless lam and nu are multipartitions
-    with one component per node and `labels` one partition per edge.
+    `labels` is aligned with layer.edges.  Each node's coefficient is
+    lr_multi(component, incident labels), which depends neither on the
+    order of the incident labels nor on empty ones.  ValueError unless
+    lam and nu are multipartitions with one component per node and
+    `labels` one partition per edge.
     """
     # checked before the cached LR cores: True == 1 and both hash alike
     lam, nu = _check_nodes(layer, lam, nu)
     labels = tuple(map(check_partition, labels))
     if len(labels) != len(layer.edges):
         raise ValueError("labels must have one entry per edge")
-    return _labelling_coefficient(layer, lam, nu, labels)
+    upper, lower = _incidence(layer)
+    coeff = _node_product(lam, upper, labels)
+    return coeff and coeff * _node_product(nu, lower, labels)
 
 
-# branch_first holds checked partitions, so it calls the two cores below.
+# branch_first holds checked partitions, so it calls the cores below.
 
-def _good_labellings(layer: YoungLayer, lam: Multipartition,
-                     nu: Multipartition) -> list[tuple]:
+def _good_labellings(layer: YoungLayer, lam_sizes, nu_sizes) -> list[tuple]:
+    """Good labellings for upper node sizes `lam_sizes`, lower `nu_sizes`."""
     # a filling's (row, entry) counts are the edge sizes of one labelling
-    row_sums = size_composition(lam)
-    box_rows = [i for i, size in enumerate(row_sums) for _ in range(size)]
+    box_rows = [i for i, size in enumerate(lam_sizes) for _ in range(size)]
     out = []
-    for flat in fillings(layer.adjacency, row_sums, size_composition(nu)):
+    for flat in fillings(layer.adjacency, lam_sizes, nu_sizes):
         sizes = Counter(zip(box_rows, flat))
         out.extend(itertools.product(*(enumerate_partitions(sizes[e])
                                        for e in layer.edges)))
     return out
 
 
-def _labelling_coefficient(layer: YoungLayer, lam: Multipartition,
-                           nu: Multipartition, labels) -> int:
+def _incidence(layer: YoungLayer):
+    """The indices of the edges at each upper node and at each lower node."""
+    upper = [[] for _ in layer.upper]
+    lower = [[] for _ in layer.lower]
+    for e, (i, j) in enumerate(layer.edges):
+        upper[i].append(e)
+        lower[j].append(e)
+    return upper, lower
+
+
+def _node_product(parts: Multipartition, incident, labels) -> int:
+    """Product over nodes of lr_multi(parts[k], labels at node k)."""
     coeff = 1
-    for i, part in enumerate(lam):
-        incident = [lbl for (a, _), lbl in zip(layer.edges, labels) if a == i]
-        coeff *= _lr_multi(part, incident)
-        if coeff == 0:
-            return 0
-    for j, part in enumerate(nu):
-        incident = [lbl for (_, b), lbl in zip(layer.edges, labels) if b == j]
-        coeff *= _lr_multi(part, incident)
-        if coeff == 0:
+    for part, edges in zip(parts, incident):
+        coeff *= _lr_multi(part, [labels[e] for e in edges])
+        if not coeff:
             return 0
     return coeff
 
 
-def _row_fillings(support_row, eta_i: Partition):
+def _labelling_multiplicities(layer: YoungLayer, lam: Multipartition) -> dict:
+    """The multiplicity map of the good-labelling sum.
+
+    Good labellings depend only on the size compositions of lam and nu,
+    and their upper-node products only on lam, so both are computed
+    once per size composition of nu.  The keys come in the order of
+    `multipartitions`.
+    """
+    upper, lower = _incidence(layer)
+    lam_sizes = size_composition(lam)
+    n = sum(lam_sizes)
+    result: dict[Multipartition, int] = {}
+    for nu_sizes in compositions(n, (n,) * len(layer.lower)):
+        kept = []
+        for labels in _good_labellings(layer, lam_sizes, nu_sizes):
+            coeff = _node_product(lam, upper, labels)
+            if coeff:
+                kept.append((labels, coeff))
+        if not kept:
+            continue
+        for nu in itertools.product(*map(enumerate_partitions, nu_sizes)):
+            total = sum(coeff * _node_product(nu, lower, labels)
+                        for labels, coeff in kept)
+            if total:
+                result[nu] = total
+    return result
+
+
+@cache
+def _row_fillings(support_row, eta_i: Partition) -> tuple:
     """Fillings of one row that have a nonzero row LR coefficient.
 
-    Yields (row, coeff): row holds one partition per column, () off the
+    Pairs (row, coeff): row holds one partition per column, () off the
     support, with sizes summing to |eta_i|, and coeff is
-    lr_multi(eta_i, row).
+    lr_multi(eta_i, row).  Memoised, as every lambda that puts eta_i on
+    a row with this support shares them.
     """
     n = sum(eta_i)
     caps = tuple(n if a else 0 for a in support_row)
+    out = []
     for sizes in compositions(n, caps):
         for row in itertools.product(*map(enumerate_partitions, sizes)):
             coeff = _lr_multi(eta_i, row)
             if coeff:
-                yield row, coeff
+                out.append((row, coeff))
+    return tuple(out)
 
 
 def filtration_multiplicities(A, eta: Multipartition) -> dict:
@@ -157,8 +195,12 @@ def filtration_multiplicities(A, eta: Multipartition) -> dict:
         raise ValueError("the rows of A must have equal length")
     if any(a not in (0, 1) for row in A for a in row):
         raise ValueError("the entries of A must be 0 or 1")
+    return _filtration_multiplicities(A, eta)
 
-    per_row = [list(_row_fillings(A[i], eta[i])) for i in range(len(eta))]
+
+def _filtration_multiplicities(A, eta: Multipartition) -> dict:
+    t = len(A[0]) if A else 0
+    per_row = list(map(_row_fillings, A, eta))
     result: dict[Multipartition, int] = {}
     for combo in itertools.product(*per_row):
         row_coeff = 1
@@ -207,16 +249,9 @@ def branch_first(m: int, lam: Multipartition, method: str = "matrices") -> dict:
     lam = _check_lambda(m, lam)
     layer = young_layer(m)
     if method == "matrices":
-        return filtration_multiplicities(layer.adjacency, lam)
+        return _filtration_multiplicities(layer.adjacency, lam)
     if method == "labellings":
-        n = sum(map(sum, lam))
-        result: dict[Multipartition, int] = {}
-        for nu in multipartitions(n, len(layer.lower)):
-            total = sum(_labelling_coefficient(layer, lam, nu, labels)
-                        for labels in _good_labellings(layer, lam, nu))
-            if total:
-                result[nu] = total
-        return result
+        return _labelling_multiplicities(layer, lam)
     raise ValueError(f"unknown method {method!r}")
 
 

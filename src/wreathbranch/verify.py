@@ -16,7 +16,9 @@ from functools import cache, partial
 from math import factorial
 from operator import itemgetter
 
-from .branching import branch_first, branch_second, wreath_specht_dimension
+from .branching import (branch_first, branch_second,
+                        filtration_multiplicities, wreath_specht_dimension,
+                        young_layer)
 from .lr import _lr_coefficient
 from .perms import (Perm, all_perms, compose, descents, double_coset_reps,
                     from_cycles, inverse, length, rho_cosets,
@@ -339,14 +341,20 @@ def verify_length_lemma(max_n: int = 6) -> dict:
 
 
 def verify_labelling_equivalence(max_m: int = 4, max_n: int = 4) -> dict:
-    """Good-labelling sums equal the matrix-formula multiplicities."""
+    """Good-labelling sums equal the matrix-formula multiplicities.
+
+    The matrix formula is filtration_multiplicities on the layer's
+    adjacency matrix, as in branch_first; the dimensions-first suite
+    covers branch_first's own route to it.
+    """
     checked = 0
     failures = []
     for m in range(2, max_m + 1):
-        r = len(enumerate_partitions(m))
+        adjacency = young_layer(m).adjacency
+        r = len(adjacency)
         for n in range(1, max_n + 1):
             for lam in multipartitions(n, r):
-                via_mats = branch_first(m, lam, method="matrices")
+                via_mats = filtration_multiplicities(adjacency, lam)
                 via_labs = branch_first(m, lam, method="labellings")
                 checked += 1
                 if via_mats != via_labs:

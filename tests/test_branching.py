@@ -91,6 +91,24 @@ def test_labelling_coefficient_checks_before_the_cache():
                               labels)
 
 
+def test_labelling_sum_matches_the_per_nu_definition():
+    # branch_first groups the sum by the size composition of nu; here it
+    # is summed per nu through the exported, checked functions
+    for m in (1, 2, 3):
+        layer = young_layer(m)
+        for n in range(5):
+            for lam in multipartitions(n, len(layer.upper)):
+                expected = {}
+                for nu in multipartitions(n, len(layer.lower)):
+                    total = sum(labelling_coefficient(layer, lam, nu, labels)
+                                for labels in enumerate_good_labellings(
+                                    layer, lam, nu))
+                    if total:
+                        expected[nu] = total
+                got = branch_first(m, lam, method="labellings")
+                assert list(got.items()) == list(expected.items()), (m, lam)
+
+
 def test_filtration_identity_matrix():
     eye = ((1, 0), (0, 1))
     for eta in [((2,), (1,)), ((1, 1), ()), ((3, 1), (2, 2))]:
