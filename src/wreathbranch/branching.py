@@ -12,13 +12,15 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import cache
-from math import factorial
+from math import factorial, prod
+from operator import itemgetter
 from typing import NamedTuple
 
 from .lr import _lr_multi
-from .shapes import (Multipartition, Partition, _specht_dimension,
-                     check_partition, compositions, enumerate_partitions,
-                     fillings, removable_boxes, size_composition)
+from .shapes import (Multipartition, Partition, _removable_boxes,
+                     _specht_dimension, check_partition, compositions,
+                     enumerate_partitions, fillings, removable_boxes,
+                     size_composition)
 
 # A multipartition matrix is a tuple of rows; each row holds one
 # partition per column.  A multiplicity map is a dict multipartition ->
@@ -199,33 +201,37 @@ def filtration_multiplicities(A, eta: Multipartition) -> dict:
 
 
 def _filtration_multiplicities(A, eta: Multipartition) -> dict:
-    t = len(A[0]) if A else 0
-    per_row = list(map(_row_fillings, A, eta))
+    # a row with an empty eta_i has one filling, all (), at coefficient 1
+    per_row = [_row_fillings(row, part) for row, part in zip(A, eta) if part]
+    if not per_row:
+        return {((),) * (len(A[0]) if A else 0): 1}
+    # No zero filter: every term is a product of positive LR coefficients
+    # (row fillings and column tables keep nonzero ones only), so no
+    # entry of the sum is zero.
     result: dict[Multipartition, int] = {}
+    get = result.get
+    row_of, coeff_of = itemgetter(0), itemgetter(1)
     for combo in itertools.product(*per_row):
-        row_coeff = 1
-        for _, c in combo:
-            row_coeff *= c
-        # distribute over nu: independent choice of nu^j per column
-        col_maps = []
-        for j in range(t):
-            col_parts = tuple(row[j] for row, _ in combo if row[j])
-            col_maps.append(_column_expansion(col_parts))
-        for nu_choice in itertools.product(*(cm.items() for cm in col_maps)):
-            nu = tuple(k for k, _ in nu_choice)
-            w = row_coeff
-            for _, v in nu_choice:
-                w *= v
-            result[nu] = result.get(nu, 0) + w
-    return {k: v for k, v in result.items() if v}
+        row_coeff = prod(map(coeff_of, combo))
+        # one nu^j per column, chosen independently
+        nus, coeffs = zip(*map(_column_expansion, zip(*map(row_of, combo))))
+        for nu, w in zip(itertools.product(*nus),
+                         map(prod, itertools.product(*coeffs))):
+            result[nu] = get(nu, 0) + row_coeff * w
+    return result
 
 
 @cache
-def _column_expansion(col_parts) -> dict:
-    """Map nu -> lr_multi(nu, col_parts) over partitions of the total size."""
-    size = sum(map(sum, col_parts))
-    cm = {nu: _lr_multi(nu, col_parts) for nu in enumerate_partitions(size)}
-    return {k: v for k, v in cm.items() if v}
+def _column_expansion(column) -> tuple:
+    """(nus, coeffs): the nu with lr_multi(nu, column) > 0, and those values.
+
+    `column` holds one partition per row, () entries included; the nus
+    are partitions of its total size in `enumerate_partitions` order.
+    """
+    size = sum(map(sum, column))
+    pairs = [(nu, c) for nu in enumerate_partitions(size)
+             if (c := _lr_multi(nu, column))]
+    return tuple(nu for nu, _ in pairs), tuple(c for _, c in pairs)
 
 
 def _check_lambda(m: int, lam) -> Multipartition:
@@ -281,7 +287,7 @@ def branch_second(m: int, lam: Multipartition) -> dict:
     for i, part in enumerate(lam):
         if not part:
             continue
-        for delta in removable_boxes(part):
+        for delta in _removable_boxes(part):
             key = lam[:i] + (delta,) + lam[i + 1:]
             result[key] = result.get(key, 0) + _specht_dimension(upper[i])
     return result

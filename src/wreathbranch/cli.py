@@ -298,7 +298,8 @@ def main(argv=None) -> int:
         print(json.dumps(err, sort_keys=True))
         return COMPUTATION_ERROR
     if args.as_json:
-        print(json.dumps(payload, sort_keys=True))
+        # payloads are fresh dicts and tuples, so there is no cycle to find
+        print(json.dumps(payload, sort_keys=True, check_circular=False))
     else:
         print(_HUMAN[args.command](payload))
     return code

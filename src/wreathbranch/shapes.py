@@ -71,11 +71,17 @@ def removable_boxes(lam: Partition) -> list[Partition]:
     """Partitions obtained from `lam` by removing one box, by row index.
 
     A box is removable from row i when the result is still weakly
-    decreasing; a part that drops to zero is deleted.
+    decreasing; a part that drops to zero is deleted.  ValueError
+    unless `lam` is a nonempty partition.
     """
-    lam = tuple(lam)
+    lam = check_partition(lam)
     if not lam:
         raise ValueError("no removable boxes")
+    return _removable_boxes(lam)
+
+
+def _removable_boxes(lam: Partition) -> list[Partition]:
+    """removable_boxes without the check, for a nonempty partition."""
     out = []
     for i in range(len(lam)):
         below = lam[i + 1] if i + 1 < len(lam) else 0

@@ -7,8 +7,11 @@ test.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
+
+from wreathbranch import enumerate_partitions, lr_multi
 
 
 def partitions_by_filter(m: int) -> list[tuple[int, ...]]:
@@ -303,3 +306,59 @@ def set_orbit_double_cosets(gamma, alpha) -> list[frozenset]:
         unseen -= orbit
         cosets.append(frozenset(orbit))
     return sorted(cosets, key=min)
+
+
+@functools.cache
+def _row_fillings_by_filter(support_row, eta_i) -> tuple:
+    """(row, lr_multi(eta_i, row)) for the rows of size |eta_i| with it > 0.
+
+    A row holds one partition per support entry and () off the support.
+    Ordered by the sizes of the row's partitions, largest first, then by
+    the partitions themselves, each in descending lexicographic order.
+    """
+    n = sum(eta_i)
+    pools = [[p for k in range(n + 1) for p in enumerate_partitions(k)]
+             if a else [()] for a in support_row]
+    rows = [row for row in itertools.product(*pools)
+            if sum(map(sum, row)) == n]
+    rows.sort(key=lambda row: (tuple(map(sum, row)), row), reverse=True)
+    return tuple((row, c) for row in rows if (c := lr_multi(eta_i, row)))
+
+
+@functools.cache
+def _column_map(col_parts) -> dict:
+    """nu -> lr_multi(nu, col_parts) over partitions of the size, if > 0."""
+    size = sum(map(sum, col_parts))
+    return {nu: c for nu in enumerate_partitions(size)
+            if (c := lr_multi(nu, col_parts))}
+
+
+def filtration_multiplicities_by_loop(A, eta) -> dict:
+    """The matrix-sum formula by one plain loop over the fillings of A.
+
+    The reference for ``branching._filtration_multiplicities``.  Every
+    row, empty eta_i included, contributes its fillings; for each choice
+    of one filling per row, the product of the row coefficients goes to
+    every choice of one nu^j per column, times the column coefficients
+    lr_multi(nu^j, the column's nonempty parts).  Zero entries are
+    omitted at the end.
+    """
+    t = len(A[0]) if A else 0
+    per_row = [_row_fillings_by_filter(tuple(support), tuple(part))
+               for support, part in zip(A, eta)]
+    result = {}
+    for combo in itertools.product(*per_row):
+        row_coeff = 1
+        for _, c in combo:
+            row_coeff *= c
+        col_maps = []
+        for j in range(t):
+            col_parts = tuple(row[j] for row, _ in combo if row[j])
+            col_maps.append(_column_map(col_parts))
+        for nu_choice in itertools.product(*(cm.items() for cm in col_maps)):
+            nu = tuple(k for k, _ in nu_choice)
+            w = row_coeff
+            for _, v in nu_choice:
+                w *= v
+            result[nu] = result.get(nu, 0) + w
+    return {k: v for k, v in result.items() if v}

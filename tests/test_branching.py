@@ -1,6 +1,8 @@
 import pytest
 
-from wreathbranch.branching import (branch_first, branch_second,
+from helpers import filtration_multiplicities_by_loop
+from wreathbranch.branching import (_filtration_multiplicities, branch_first,
+                                    branch_second,
                                     enumerate_good_labellings,
                                     filtration_multiplicities,
                                     labelling_coefficient,
@@ -107,6 +109,39 @@ def test_labelling_sum_matches_the_per_nu_definition():
                         expected[nu] = total
                 got = branch_first(m, lam, method="labellings")
                 assert list(got.items()) == list(expected.items()), (m, lam)
+
+
+def test_filtration_sum_matches_the_plain_loop():
+    # the production loop skips empty rows, keys one table per column and
+    # drops no zeros; the reference loops over every row and filters
+    def check(m, lam):
+        A = young_layer(m).adjacency
+        got = _filtration_multiplicities(A, lam)
+        want = filtration_multiplicities_by_loop(A, lam)
+        assert list(got.items()) == list(want.items()), (m, lam)
+        assert all(v > 0 for v in got.values()), (m, lam)
+
+    for m, max_n in ((1, 5), (2, 5), (3, 5), (4, 5), (5, 4)):
+        components = len(young_layer(m).upper)
+        for n in range(max_n + 1):
+            for lam in multipartitions(n, components):
+                check(m, lam)
+    check(5, ((),) * 7)
+    check(5, ((2,), (), (1, 1), (), (), (2, 1), ()))
+    check(4, ((), (2, 1), (), (1, 1, 1), ()))
+    # row coefficients above 1 need |eta_i| >= 6 on a two-edge row
+    check(3, ((1,), (3, 2, 1), ()))
+    check(4, ((), (3, 2, 1), (), (2, 1, 1, 1, 1), (1,)))
+
+
+def test_filtration_without_nonempty_rows():
+    # every row empty: the one filling is all (), so nu is all ()
+    assert filtration_multiplicities(((1, 0), (1, 1)), ((), ())) == {
+        ((), ()): 1}
+    assert filtration_multiplicities(((), ()), ((), ())) == {(): 1}
+    assert filtration_multiplicities((), ()) == {(): 1}
+    # a nonempty row with no support has no filling
+    assert filtration_multiplicities(((0, 0), (1, 1)), ((1,), ())) == {}
 
 
 def test_filtration_identity_matrix():

@@ -48,6 +48,12 @@ def test_removable_boxes_empty_errors():
         removable_boxes(())
 
 
+def test_removable_boxes_rejects_non_partitions():
+    for lam in [(2, 3), (1, 0), (0,), (True,), (1.0,)]:
+        with pytest.raises(ValueError, match="not a partition"):
+            removable_boxes(lam)
+
+
 def test_specht_dimension_examples():
     assert specht_dimension((2, 1)) == 2
     assert specht_dimension((3, 2)) == 5
