@@ -263,7 +263,11 @@ def branch_first(m: int, lam: Multipartition, method: str = "matrices") -> dict:
 
 def wreath_specht_dimension(m: int, lam: Multipartition) -> int:
     """Dimension of the Specht module of S_m wr S_n indexed by `lam`."""
-    lam = _check_lambda(m, lam)
+    return _wreath_specht_dimension(m, _check_lambda(m, lam))
+
+
+def _wreath_specht_dimension(m: int, lam: Multipartition) -> int:
+    """wreath_specht_dimension for a checked `lam`."""
     n = sum(map(sum, lam))
     dim = factorial(n)
     for mu, part in zip(enumerate_partitions(m), lam):

@@ -3,7 +3,7 @@
 The oracles use the enumerators of ``shapes`` and the permutation
 primitives of ``perms``, but never call ``lr``, ``tableaux`` or
 ``branching``: Schur products from Kostka numbers by the Pieri rule, and
-double cosets found by orbit closure over all of S_n.
+double cosets found by orbit closure on the right cosets of S_n.
 Each suite compares an independent value with the production code over
 a finite family and returns ``{"checked": count, "failures": [message,
 ...]}``.  The CLI and the acceptance tests both run these.
@@ -16,9 +16,9 @@ from functools import cache, partial
 from math import factorial
 from operator import itemgetter
 
-from .branching import (branch_first, branch_second,
-                        filtration_multiplicities, wreath_specht_dimension,
-                        young_layer)
+from .branching import (_wreath_specht_dimension, branch_first,
+                        branch_second, filtration_multiplicities,
+                        wreath_specht_dimension, young_layer)
 from .lr import _lr_coefficient
 from .perms import (Perm, all_perms, compose, descents, double_coset_reps,
                     from_cycles, inverse, length, rho_cosets,
@@ -27,7 +27,9 @@ from .shapes import (Composition, Partition, compositions,
                      enumerate_partitions, multipartitions)
 
 # Largest |alpha| + |beta| for schur_product_oracle, and largest n for
-# brute_force_double_cosets, which walks all n! permutations.
+# the suites over all of S_n: brute_force_double_cosets labels all n!
+# permutations, and the stabilizer suite conjugates S_gamma by each of
+# them.  At n = 7, cosets take about 7 s and stabilizers about 30 s.
 SCHUR_ORACLE_BOUND = 12
 ORACLE_BOUND = 7
 
@@ -134,7 +136,8 @@ def young_subgroup(gamma: Composition) -> tuple[Perm, ...]:
 def _indexed_symmetric_group(n: int):
     """S_n in lexicographic order, with adjacent transpositions as maps.
 
-    Returns (perms, left, right): for s = (j+1, j+2), left[j][i] is the
+    Returns (perms, index, left, right): index maps each permutation to
+    its position in perms, and for s = (j+1, j+2), left[j][i] is the
     index of s * perms[i] and right[j][i] the index of perms[i] * s.
     """
     perms = tuple(all_perms(n))
@@ -142,7 +145,7 @@ def _indexed_symmetric_group(n: int):
     gens = [from_cycles([[j, j + 1]], n) for j in range(1, n)]
     left = tuple(tuple(index[compose(g, p)] for p in perms) for g in gens)
     right = tuple(tuple(index[compose(p, g)] for p in perms) for g in gens)
-    return perms, left, right
+    return perms, index, left, right
 
 
 def _block_transpositions(gamma: Composition) -> list[int]:
@@ -155,38 +158,70 @@ def _block_transpositions(gamma: Composition) -> list[int]:
     return gens
 
 
+def _orbits(size: int, moves) -> tuple[list[int], list[int]]:
+    """Label 0..size-1 by the orbits of the index maps in `moves`.
+
+    Returns (owner, seeds): owner[i] is the label of i's orbit, and
+    seeds[k] the least element of orbit k.  Seeds rise, so the orbits
+    are numbered by their least element.
+    """
+    owner = [-1] * size
+    seeds = []
+    for seed in range(size):
+        if owner[seed] >= 0:
+            continue
+        label = len(seeds)
+        seeds.append(seed)
+        owner[seed] = label
+        orbit = [seed]
+        for i in orbit:  # the loop also visits what it appends
+            for move in moves:
+                nxt = move[i]
+                if owner[nxt] < 0:
+                    owner[nxt] = label
+                    orbit.append(nxt)
+    return owner, seeds
+
+
+@cache
+def _right_cosets(gamma: Composition) -> tuple[tuple[int, ...], ...]:
+    """Label each index of S_n, n = |gamma|, by its right coset S_gamma * p.
+
+    The cosets are the orbits of left multiplication by the block
+    transpositions of gamma; returns (owner, seeds) as `_orbits` does.
+    """
+    perms, _, left, _ = _indexed_symmetric_group(sum(gamma))
+    owner, seeds = _orbits(len(perms),
+                           [left[j] for j in _block_transpositions(gamma)])
+    return tuple(owner), tuple(seeds)
+
+
 def brute_force_double_cosets(gamma: Composition,
-                              alpha: Composition) -> list[frozenset]:
+                              alpha: Composition) -> tuple[list[int], int]:
     """Partition S_n into (S_gamma, S_alpha)-double cosets by orbit closure.
 
-    Exhaustive oracle: walks all n! elements, so n is capped by
-    ORACLE_BOUND.  Cosets are returned sorted by their minimal element.
+    Exhaustive oracle over all n! elements, so n is capped by
+    ORACLE_BOUND.  Right multiplication by S_alpha permutes the right
+    cosets S_gamma * p, so the orbits are closed on those n!/|S_gamma|
+    cosets.  Returns (owner, count): owner[i] labels the double coset of
+    the i-th permutation of `_indexed_symmetric_group(n)`, and the
+    labels 0..count-1 follow the minimal elements.
     """
     n = sum(gamma)
     if sum(alpha) != n:
         raise ValueError("gamma and alpha must have equal size")
     if n > ORACLE_BOUND:
         raise ValueError("oracle bound exceeded")
-    perms, left, right = _indexed_symmetric_group(n)
-    moves = ([left[j] for j in _block_transpositions(gamma)]
-             + [right[j] for j in _block_transpositions(alpha)])
-    owner = [-1] * len(perms)
-    cosets = []
-    # seeds rise through the lexicographic order, so each seed is the
-    # minimum of its coset and the cosets come out sorted
-    for seed in range(len(perms)):
-        if owner[seed] >= 0:
-            continue
-        owner[seed] = len(cosets)
-        orbit = [seed]
-        for i in orbit:  # the loop also visits what it appends
-            for move in moves:
-                nxt = move[i]
-                if owner[nxt] < 0:
-                    owner[nxt] = owner[seed]
-                    orbit.append(nxt)
-        cosets.append(frozenset(perms[i] for i in orbit))
-    return cosets
+    right = _indexed_symmetric_group(n)[3]
+    coset, seeds = _right_cosets(tuple(gamma))
+    # S_gamma p s depends only on the coset of p, so its least element
+    # stands for it
+    moves = [[coset[right[j][p]] for p in seeds]
+             for j in _block_transpositions(alpha)]
+    # cosets are numbered by least element, so numbering the double
+    # cosets by least coset numbers them by least element too
+    double, double_seeds = _orbits(len(seeds), moves)
+    return list(map(double.__getitem__, coset)), len(double_seeds)
 
 
 def positive_compositions(n: int):
@@ -222,37 +257,43 @@ def verify_lr_oracle(max_total: int = 8) -> dict:
     return {"checked": checked, "failures": failures}
 
 
-def verify_cosets(max_n: int = 6) -> dict:
-    """Double coset representatives against the brute-force partition."""
+def _check_oracle_bound(max_n: int) -> None:
+    """The S_n suites walk S_n for every n <= max_n: cap max_n first."""
     if max_n > ORACLE_BOUND:
         raise ValueError(f"oracle bound exceeded: {max_n} > {ORACLE_BOUND}")
+
+
+def _cosets_hit(gamma: Composition, alpha: Composition, reps) -> tuple:
+    """(double cosets `reps` meet, double cosets, permutations labelled)."""
+    owner, count = brute_force_double_cosets(gamma, alpha)
+    index = _indexed_symmetric_group(sum(gamma))[1]
+    hit = {owner[index[rep]] for rep in reps if rep in index}
+    return len(hit), count, len(owner)
+
+
+def verify_cosets(max_n: int = 6) -> dict:
+    """Double coset representatives against the brute-force partition."""
+    _check_oracle_bound(max_n)
     checked = 0
     failures = []
     for n in range(1, max_n + 1):
         comps = list(positive_compositions(n))
         for gamma in comps:
             for alpha in comps:
-                cosets = brute_force_double_cosets(gamma, alpha)
-                if sum(len(c) for c in cosets) != factorial(n):
-                    failures.append(f"coset sizes of ({gamma},{alpha}) "
-                                    "do not sum to n!")
                 reps = double_coset_reps(gamma, alpha)
-                owner = _coset_index(cosets)
-                hit = {owner[rep] for rep in reps if rep in owner}
+                hit, count, labels = _cosets_hit(gamma, alpha, reps)
+                if labels != factorial(n):
+                    failures.append(f"coset labels of ({gamma},{alpha}) "
+                                    "do not cover S_n")
                 checked += 1
-                if len(reps) != len(cosets) or len(hit) != len(cosets):
+                if len(reps) != count or hit != count:
                     failures.append(
                         f"({gamma},{alpha}): {len(reps)} reps hit "
-                        f"{len(hit)} of {len(cosets)} cosets")
+                        f"{hit} of {count} cosets")
     rho = _verify_rho(max_n)
     checked += rho["checked"]
     failures += rho["failures"]
     return {"checked": checked, "failures": failures}
-
-
-def _coset_index(cosets: list[frozenset]) -> dict:
-    """Map each permutation to the index of the coset holding it."""
-    return {p: k for k, c in enumerate(cosets) for p in c}
 
 
 def _verify_rho(max_n: int) -> dict:
@@ -261,14 +302,12 @@ def _verify_rho(max_n: int) -> dict:
     failures = []
     for n in range(1, max_n + 1):
         for sizes in positive_compositions(n):
-            cosets = brute_force_double_cosets(sizes, (n - 1, 1))
             reps = [p for _, p in rho_cosets(sizes)]
-            owner = _coset_index(cosets)
-            owners = {owner[rep] for rep in reps if rep in owner}
+            hit, count, _ = _cosets_hit(sizes, (n - 1, 1), reps)
             checked += 1
-            if len(reps) != len(cosets) or len(owners) != len(cosets):
+            if len(reps) != count or hit != count:
                 failures.append(f"rho reps for sizes {sizes} hit "
-                                f"{len(owners)} of {len(cosets)} cosets")
+                                f"{hit} of {count} cosets")
     # the worked 9-box example, exact cycle output
     got = {to_cycles(p) for _, p in rho_cosets((3, 1, 0, 2, 3))}
     want = {"e", "(6,9,8,7)", "(4,9,8,7,6,5)", "(3,9,8,7,6,5,4)"}
@@ -283,30 +322,37 @@ def verify_stabilizers(max_n: int = 6) -> dict:
 
     The stabilizer under the box action depends only on the flat filling,
     never on the row shape, so one filling per (gamma, sigma) pair covers
-    all shapes.  Both sides are materialized as sets.
+    all shapes.  Column x of sigma^-1 S_gamma sigma, its elements' images
+    of x, is read off sigma by one itemgetter per column of S_gamma.
     """
+    _check_oracle_bound(max_n)
     checked = 0
     failures = []
     for n in range(1, max_n + 1):
         for gamma in positive_compositions(n):
-            # permutations padded with a fixed 0, so each itemgetter
-            # below returns a tuple, also for n = 1
-            sg = [(0, *g) for g in young_subgroup(gamma)]
+            group = young_subgroup(gamma)
+            # getters[y](sigma) lists sigma(g(y+1)) over g in S_gamma; the
+            # first g comes twice, so each getter returns a tuple, also
+            # when S_gamma is trivial
+            getters = [itemgetter(*(v - 1 for v in col))
+                       for col in zip(*group[:1], *group)]
             flat0 = standard_filling(gamma)
             for sigma in all_perms(n):
-                sinv = inverse(sigma)
-                flat = [0] * n
-                for i, e in enumerate(flat0):
-                    flat[sigma[i] - 1] = e
-                stab = {(0, *theta) for theta in all_perms(n)
+                # 0-based sinv: sinv[x - 1] + 1 is the preimage of x
+                sinv = sorted(range(n), key=sigma.__getitem__)
+                flat = list(map(flat0.__getitem__, sinv))  # box entries
+                # sinv * g * sigma: entry x is sigma(g(sinv(x))); an empty
+                # group has no getters and fails the size check below
+                columns = [getters[y](sigma) for y in sinv] if group else []
+                # every h fixes the filling iff the distinct images of
+                # each box x hold the entry of box x
+                ok = all(flat[v - 1] == e
+                         for e, col in zip(flat, columns) for v in set(col))
+                conj = set(zip(*columns))
+                sizes_match = len(conj) == _stab_order(flat)
+                stab = {theta for theta in all_perms(n)
                         if all(flat[theta[i] - 1] == flat[i] for i in range(n))} \
                     if n <= 4 else None
-                # sinv * g * sigma: entry x is sigma(g(sinv(x)))
-                at, sig = itemgetter(0, *sinv), (0, *sigma)
-                conj = {itemgetter(*at(g))(sig) for g in sg}
-                box = (0, *flat)  # box[x] is the entry in box x
-                ok = all(itemgetter(*h)(box) == box for h in conj)
-                sizes_match = len(conj) == _stab_order(flat)
                 checked += 1
                 if not ok or not sizes_match or (stab is not None
                                                  and stab != conj):
@@ -327,6 +373,7 @@ def _stab_order(flat) -> int:
 
 def verify_length_lemma(max_n: int = 6) -> dict:
     """Multiplying by a descent of the inverse drops the length by one."""
+    _check_oracle_bound(max_n)
     checked = 0
     failures = []
     for n in range(1, max_n + 1):
@@ -371,12 +418,14 @@ def verify_dimensions(rule: str, max_m: int, max_n: int) -> dict:
     failures = []
     for m in range(2, max_m + 1):
         r = len(enumerate_partitions(m))
-        # the same nu recurs for many lambda, so memoize its dimension
+        # the same nu recurs for many lambda, so memoize its dimension;
+        # the checked entry point checks each nu the rule returns once
         lower_dim = cache(partial(wreath_specht_dimension,
                                   m - 1 if rule == "first" else m))
         for n in range(1, max_n + 1):
             for lam in multipartitions(n, r):
-                expected = wreath_specht_dimension(m, lam)
+                # lam is checked once, by branch_first or branch_second
+                expected = _wreath_specht_dimension(m, lam)
                 mults = (branch_first(m, lam) if rule == "first"
                          else branch_second(m, lam))
                 total = sum(mult * lower_dim(nu) for nu, mult in mults.items())

@@ -345,10 +345,13 @@ def test_verify_oracle_bounds_checked_before_work(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("work started before the bound check")
 
-    monkeypatch.setattr(verify, "schur_product_oracle", no_work)
-    monkeypatch.setattr(verify, "brute_force_double_cosets", no_work)
+    for name in ("schur_product_oracle", "brute_force_double_cosets",
+                 "young_subgroup", "all_perms"):
+        monkeypatch.setattr(verify, name, no_work)
+    over = verify.ORACLE_BOUND + 1
     for suite, bound in (("lr-oracle", verify.SCHUR_ORACLE_BOUND + 1),
-                         ("cosets", 8)):
+                         ("cosets", over), ("stabilizers", over),
+                         ("length-lemma", over)):
         code, out, _ = run(capsys, "verify", "--suite", suite,
                            "--max-n", str(bound), "--json")
         assert code == 2

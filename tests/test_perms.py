@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +9,9 @@ from wreathbranch.perms import (all_perms, compose, descents,
                                 double_coset_reps, from_cycles, identity,
                                 inverse, length, rho_cosets, standard_filling,
                                 to_cycles)
-from wreathbranch.verify import (brute_force_double_cosets,
+from wreathbranch import verify
+from wreathbranch.verify import (_indexed_symmetric_group, _right_cosets,
+                                 brute_force_double_cosets,
                                  positive_compositions, young_subgroup)
 
 from helpers import (act_on_tableau, parse_cycles, reshape,
@@ -141,22 +145,51 @@ def test_compositions_are_validated():
 
 
 def test_brute_force_double_cosets_basics():
-    import math
     for n in range(1, 6):
-        cosets = brute_force_double_cosets((n,), (n,))
-        assert len(cosets) == 1 and len(cosets[0]) == math.factorial(n)
-    assert len(brute_force_double_cosets((1, 1, 1), (3,))) == 1
-    assert len(brute_force_double_cosets((1, 1, 1), (2, 1))) == 3
+        owner, count = brute_force_double_cosets((n,), (n,))
+        assert count == 1 and owner == [0] * math.factorial(n)
+    assert brute_force_double_cosets((1, 1, 1), (3,))[1] == 1
+    assert brute_force_double_cosets((1, 1, 1), (2, 1))[1] == 3
     with pytest.raises(ValueError, match="oracle bound exceeded"):
         brute_force_double_cosets((8,), (8,))
 
 
+def _labels_as_sets(gamma, alpha):
+    """The double cosets of the label form as sets, in label order."""
+    owner, count = brute_force_double_cosets(gamma, alpha)
+    perms = _indexed_symmetric_group(sum(gamma))[0]
+    assert len(owner) == len(perms)
+    cosets = [set() for _ in range(count)]
+    for p, k in zip(perms, owner):
+        cosets[k].add(p)
+    return [frozenset(c) for c in cosets]
+
+
 def test_brute_force_double_cosets_match_set_orbits():
-    for n in range(1, 5):
+    for n in range(1, 6):
         for gamma in positive_compositions(n):
             for alpha in positive_compositions(n):
-                assert brute_force_double_cosets(gamma, alpha) == \
+                # the reference is sorted by minimal element, so this
+                # also checks that the labels follow the minimal elements
+                assert _labels_as_sets(gamma, alpha) == \
                     set_orbit_double_cosets(gamma, alpha)
+
+
+def test_right_cosets_are_the_cosets_of_the_young_subgroup():
+    for n in range(1, 6):
+        perms, index, _, _ = _indexed_symmetric_group(n)
+        for gamma in positive_compositions(n):
+            owner, seeds = _right_cosets(gamma)
+            group = young_subgroup(gamma)
+            assert len(owner) == math.factorial(n)
+            assert Counter(owner) == {k: len(group)
+                                      for k in range(len(seeds))}
+            # numbered by least element, each seed the least of its class
+            assert list(seeds) == sorted(seeds)
+            assert [owner.index(k) for k in range(len(seeds))] == list(seeds)
+            for k, seed in enumerate(seeds):
+                coset = {index[compose(g, perms[seed])] for g in group}
+                assert {i for i, c in enumerate(owner) if c == k} == coset
 
 
 def test_positive_compositions():
@@ -197,3 +230,75 @@ def test_minimal_length_property_distinct_entries_n5():
             if length(sigma) == min(length(p) for p in coset):
                 tab = act_on_tableau(std, sigma)
                 assert all(list(row) == sorted(row) for row in tab)
+
+
+@pytest.mark.parametrize("fault", [
+    lambda reps: reps[:-1],  # one representative dropped
+    lambda reps: reps + reps[:1],  # one representative repeated
+], ids=["dropped", "repeated"])
+def test_coset_suite_catches_wrong_representatives(monkeypatch, fault):
+    reps = verify.double_coset_reps
+    monkeypatch.setattr(verify, "double_coset_reps",
+                        lambda gamma, alpha: fault(reps(gamma, alpha)))
+    report = verify.verify_cosets(4)
+    assert report["checked"] == 101
+    assert any(" reps hit " in f for f in report["failures"])
+
+
+def test_coset_suite_catches_a_repeated_rho_rep(monkeypatch):
+    rho = verify.rho_cosets
+
+    def identity_twice(sizes):
+        # the last rep of a positive composition is the identity
+        out = rho(sizes)
+        return [(out[0][0], out[-1][1])] + out[1:]
+
+    monkeypatch.setattr(verify, "rho_cosets", identity_twice)
+    failures = verify.verify_cosets(4)["failures"]
+    assert any(f.startswith("rho reps for sizes") for f in failures)
+
+
+def _cross_block_transposition(gamma):
+    """A transposition across the first two blocks of gamma, or None."""
+    if len(gamma) < 2:
+        return None
+    return from_cycles([[gamma[0], gamma[0] + 1]], sum(gamma))
+
+
+def _with_cross_block_transposition(gamma):
+    group = young_subgroup(gamma)
+    cross = _cross_block_transposition(gamma)
+    return group if cross is None else group + (cross,)
+
+
+def _last_swapped_for_cross_block_transposition(gamma):
+    """Same size as S_gamma, but one element does not fix the filling."""
+    group = young_subgroup(gamma)
+    cross = _cross_block_transposition(gamma)
+    return group if cross is None else group[:-1] + (cross,)
+
+
+@pytest.mark.parametrize("fault", [
+    lambda gamma: young_subgroup(gamma)[:-1],  # one element omitted
+    _with_cross_block_transposition,
+], ids=["omitted", "cross-block"])
+def test_stabilizer_suite_catches_a_wrong_young_subgroup(monkeypatch, fault):
+    monkeypatch.setattr(verify, "young_subgroup", fault)
+    report = verify.verify_stabilizers(4)
+    assert report["checked"] == 221
+    assert report["failures"]
+
+
+@pytest.mark.parametrize("fault", [
+    lambda gamma: young_subgroup(gamma)[:-1],  # caught by the size check
+    _last_swapped_for_cross_block_transposition,  # by the fixing check
+], ids=["omitted", "swapped"])
+def test_stabilizer_suite_catches_faults_past_the_brute_force_bound(
+        monkeypatch, fault):
+    # faults at n = 5 only, where no brute-force stabilizer is compared,
+    # so the fixing check and the size check must each catch their own
+    monkeypatch.setattr(verify, "young_subgroup", lambda gamma: fault(gamma)
+                        if sum(gamma) == 5 else young_subgroup(gamma))
+    report = verify.verify_stabilizers(5)
+    assert report["checked"] == 2141
+    assert report["failures"]
