@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial, prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -70,7 +70,7 @@ def enumerate_good_labellings(layer: YoungLayer, lam: Multipartition,
     each upper node the incident label sizes must sum to the size of
     the corresponding component of `lam`, and likewise for `nu` below.
     ValueError unless lam and nu are multipartitions with one component
-    per node.
+    per node.  Each call returns a new list.
     """
     lam, nu = _check_nodes(layer, lam, nu)
     return _good_labellings(layer, size_composition(lam),
@@ -131,21 +131,39 @@ def _node_product(parts: Multipartition, incident, labels) -> int:
     return coeff
 
 
+# Bounded, so a long-lived process keeps at most 64 entries.  The sweeps
+# meet lambda grouped by size composition, as `multipartitions` yields
+# them, so each (m, lambda sizes) still misses once per sweep.
+@lru_cache(maxsize=64)
+def _labelling_groups(m: int, lam_sizes) -> tuple:
+    """(nu_sizes, good labellings) pairs for upper node sizes `lam_sizes`.
+
+    One pair per size composition of nu that has a good labelling, in
+    `compositions` order; the labellings are a tuple, so no caller can
+    change what later lambda read.
+    """
+    layer = young_layer(m)
+    n = sum(lam_sizes)
+    return tuple((nu_sizes, labellings)
+                 for nu_sizes in compositions(n, (n,) * len(layer.lower))
+                 if (labellings := tuple(_good_labellings(layer, lam_sizes,
+                                                          nu_sizes))))
+
+
 def _labelling_multiplicities(layer: YoungLayer, lam: Multipartition) -> dict:
     """The multiplicity map of the good-labelling sum.
 
     Good labellings depend only on the size compositions of lam and nu,
-    and their upper-node products only on lam, so both are computed
-    once per size composition of nu.  The keys come in the order of
-    `multipartitions`.
+    so they come from the `_labelling_groups` memo; their upper-node
+    products depend only on lam, so they are computed once per size
+    composition of nu.  The keys come in the order of `multipartitions`.
     """
     upper, lower = _incidence(layer)
-    lam_sizes = size_composition(lam)
-    n = sum(lam_sizes)
     result: dict[Multipartition, int] = {}
-    for nu_sizes in compositions(n, (n,) * len(layer.lower)):
+    for nu_sizes, labellings in _labelling_groups(layer.m,
+                                                  size_composition(lam)):
         kept = []
-        for labels in _good_labellings(layer, lam_sizes, nu_sizes):
+        for labels in labellings:
             coeff = _node_product(lam, upper, labels)
             if coeff:
                 kept.append((labels, coeff))
@@ -271,8 +289,10 @@ def _wreath_specht_dimension(m: int, lam: Multipartition) -> int:
     n = sum(map(sum, lam))
     dim = factorial(n)
     for mu, part in zip(enumerate_partitions(m), lam):
-        dim //= factorial(sum(part))
-        dim *= _specht_dimension(mu) ** sum(part) * _specht_dimension(part)
+        if part:  # an empty component contributes a factor of 1
+            k = sum(part)
+            dim //= factorial(k)
+            dim *= _specht_dimension(mu) ** k * _specht_dimension(part)
     return dim
 
 

@@ -32,8 +32,9 @@ def is_partition(parts) -> bool:
 def check_partition(parts) -> Partition:
     """`parts` as a tuple, or ValueError unless it is a partition of ints."""
     parts = tuple(parts)
-    # builtins rather than generators: the entry points call this per part
-    if set(map(type, parts)) - {int} or not is_partition(parts):
+    # builtins rather than generators: the entry points call this per
+    # part, and () is the commonest part of a swept multipartition
+    if parts and (set(map(type, parts)) - {int} or not is_partition(parts)):
         raise ValueError(f"not a partition: {parts}")
     return parts
 

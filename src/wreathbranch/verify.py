@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from functools import cache, partial
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .branching import (_wreath_specht_dimension, branch_first,
                         branch_second, filtration_multiplicities,
@@ -428,7 +428,7 @@ def verify_dimensions(rule: str, max_m: int, max_n: int) -> dict:
                 expected = _wreath_specht_dimension(m, lam)
                 mults = (branch_first(m, lam) if rule == "first"
                          else branch_second(m, lam))
-                total = sum(mult * lower_dim(nu) for nu, mult in mults.items())
+                total = sum(map(mul, mults.values(), map(lower_dim, mults)))
                 checked += 1
                 if total != expected:
                     failures.append(f"m={m} n={n} rule={rule} lambda={lam}: "

@@ -37,7 +37,7 @@ def test_acceptance_1_worked_example(capsys):
 
 
 def test_acceptance_2_labelling_matrix_equivalence():
-    report = verify_labelling_equivalence(max_m=4, max_n=5)
+    report = verify_labelling_equivalence(max_m=4, max_n=6)
     _report(2, "labelling/matrix equivalence", not report["failures"],
             f"{report['checked']} instances, "
             f"{len(report['failures'])} failures")

@@ -1,14 +1,18 @@
+import random
+
 import pytest
 
 from helpers import filtration_multiplicities_by_loop
-from wreathbranch.branching import (_filtration_multiplicities, branch_first,
+from wreathbranch.branching import (_filtration_multiplicities,
+                                    _labelling_groups, branch_first,
                                     branch_second,
                                     enumerate_good_labellings,
                                     filtration_multiplicities,
                                     labelling_coefficient,
                                     wreath_specht_dimension, young_layer)
 from wreathbranch.shapes import (enumerate_partitions, multipartitions,
-                                 removable_boxes, specht_dimension)
+                                 removable_boxes, size_composition,
+                                 specht_dimension)
 from wreathbranch.verify import verify_dimensions
 
 LAM36 = ((2,), (1, 1), (1, 1))
@@ -96,9 +100,10 @@ def test_labelling_coefficient_checks_before_the_cache():
 def test_labelling_sum_matches_the_per_nu_definition():
     # branch_first groups the sum by the size composition of nu; here it
     # is summed per nu through the exported, checked functions
-    for m in (1, 2, 3):
+    cases = []
+    for m, max_n in ((1, 4), (2, 4), (3, 4), (4, 3)):
         layer = young_layer(m)
-        for n in range(5):
+        for n in range(max_n + 1):
             for lam in multipartitions(n, len(layer.upper)):
                 expected = {}
                 for nu in multipartitions(n, len(layer.lower)):
@@ -107,8 +112,40 @@ def test_labelling_sum_matches_the_per_nu_definition():
                                     layer, lam, nu))
                     if total:
                         expected[nu] = total
-                got = branch_first(m, lam, method="labellings")
-                assert list(got.items()) == list(expected.items()), (m, lam)
+                cases.append((m, lam, expected))
+    for m, lam, expected in cases:
+        got = branch_first(m, lam, method="labellings")
+        assert list(got.items()) == list(expected.items()), (m, lam)
+    # a shuffled order mixes the size compositions, so the bounded memo
+    # of labellings evicts entries and computes them again
+    random.Random(11).shuffle(cases)
+    _labelling_groups.cache_clear()
+    for m, lam, expected in cases:
+        got = branch_first(m, lam, method="labellings")
+        assert list(got.items()) == list(expected.items()), (m, lam)
+    keys = {(m, size_composition(lam)) for m, lam, _ in cases}
+    info = _labelling_groups.cache_info()
+    assert len(keys) > info.maxsize
+    assert info.misses > len(keys)
+    assert info.currsize <= info.maxsize
+
+
+def test_good_labellings_are_a_fresh_list():
+    # the labelling sum reads memoised labellings; a caller that changes
+    # the exported function's list must not change a later answer
+    layer = young_layer(3)
+    same_sizes = ((1, 1), (2,), (2,))
+    before = [list(branch_first(3, lam, method="labellings").items())
+              for lam in (LAM36, same_sizes)]
+    labellings = enumerate_good_labellings(layer, LAM36, NU36)
+    assert isinstance(labellings, list) and len(labellings) == 4
+    labellings[0] = labellings[1]
+    labellings.append(labellings[1])
+    enumerate_good_labellings(layer, same_sizes, NU36).clear()
+    after = [list(branch_first(3, lam, method="labellings").items())
+             for lam in (LAM36, same_sizes)]
+    assert after == before
+    assert len(enumerate_good_labellings(layer, LAM36, NU36)) == 4
 
 
 def test_filtration_sum_matches_the_plain_loop():

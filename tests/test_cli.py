@@ -301,6 +301,13 @@ def test_usage_error_exit_code(capsys):
     assert "usage error" in err
 
 
+def test_unknown_verify_suite_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "nope", "--json")
+    assert code == 1
+    assert "usage error" in err
+    assert out == ""
+
+
 def test_unknown_command_is_usage_error(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
