@@ -33,7 +33,7 @@ def check_partition(parts) -> Partition:
     """`parts` as a tuple, or ValueError unless it is a partition of ints."""
     parts = tuple(parts)
     # builtins rather than generators: the entry points call this per
-    # part, and () is the commonest part of a swept multipartition
+    # component, and () is the commonest component of a multipartition
     if parts and (set(map(type, parts)) - {int} or not is_partition(parts)):
         raise ValueError(f"not a partition: {parts}")
     return parts
