@@ -16,7 +16,7 @@ from math import factorial, prod
 from operator import itemgetter
 from typing import NamedTuple
 
-from .lr import _lr_multi
+from .lr import _lr_multi, _lr_multi_sorted
 from .shapes import (Multipartition, Partition, _removable_boxes,
                      _specht_dimension, check_partition, compositions,
                      enumerate_partitions, fillings, removable_boxes,
@@ -93,8 +93,8 @@ def labelling_coefficient(layer: YoungLayer, lam: Multipartition,
     if len(labels) != len(layer.edges):
         raise ValueError("labels must have one entry per edge")
     upper, lower = _incidence(layer)
-    coeff = _node_product(lam, upper, labels)
-    return coeff and coeff * _node_product(nu, lower, labels)
+    coeff = _node_product(lam, _node_keys(upper, labels))
+    return coeff and coeff * _node_product(nu, _node_keys(lower, labels))
 
 
 # branch_first holds checked partitions, so it calls the cores below.
@@ -121,11 +121,20 @@ def _incidence(layer: YoungLayer):
     return upper, lower
 
 
-def _node_product(parts: Multipartition, incident, labels) -> int:
-    """Product over nodes of lr_multi(parts[k], labels at node k)."""
+def _node_keys(incident, labels) -> tuple:
+    """Per node, its nonempty labels sorted: the `_lr_multi_sorted` key."""
+    return tuple(tuple(sorted([labels[e] for e in edges if labels[e]]))
+                 for edges in incident)
+
+
+def _node_product(parts: Multipartition, keys) -> int:
+    """Product over nodes k of lr_multi(parts[k], labels at node k).
+
+    `keys` holds the labels at each node as `_node_keys` gives them.
+    """
     coeff = 1
-    for part, edges in zip(parts, incident):
-        coeff *= _lr_multi(part, [labels[e] for e in edges])
+    for part, key in zip(parts, keys):
+        coeff *= _lr_multi_sorted(part, key)
         if not coeff:
             return 0
     return coeff
@@ -139,15 +148,20 @@ def _labelling_groups(m: int, lam_sizes) -> tuple:
     """(nu_sizes, good labellings) pairs for upper node sizes `lam_sizes`.
 
     One pair per size composition of nu that has a good labelling, in
-    `compositions` order; the labellings are a tuple, so no caller can
-    change what later lambda read.
+    `compositions` order.  Each labelling is stored as the pair
+    (upper keys, lower keys) of `_node_keys`, built once for every lambda
+    that reads it; all are tuples, so no caller can change what later
+    lambda read.
     """
     layer = young_layer(m)
+    upper, lower = _incidence(layer)
     n = sum(lam_sizes)
-    return tuple((nu_sizes, labellings)
+    return tuple((nu_sizes, tuple((_node_keys(upper, labels),
+                                   _node_keys(lower, labels))
+                                  for labels in labellings))
                  for nu_sizes in compositions(n, (n,) * len(layer.lower))
-                 if (labellings := tuple(_good_labellings(layer, lam_sizes,
-                                                          nu_sizes))))
+                 if (labellings := _good_labellings(layer, lam_sizes,
+                                                    nu_sizes)))
 
 
 def _labelling_multiplicities(layer: YoungLayer, lam: Multipartition) -> dict:
@@ -158,20 +172,19 @@ def _labelling_multiplicities(layer: YoungLayer, lam: Multipartition) -> dict:
     products depend only on lam, so they are computed once per size
     composition of nu.  The keys come in the order of `multipartitions`.
     """
-    upper, lower = _incidence(layer)
     result: dict[Multipartition, int] = {}
     for nu_sizes, labellings in _labelling_groups(layer.m,
                                                   size_composition(lam)):
         kept = []
-        for labels in labellings:
-            coeff = _node_product(lam, upper, labels)
+        for upper_keys, lower_keys in labellings:
+            coeff = _node_product(lam, upper_keys)
             if coeff:
-                kept.append((labels, coeff))
+                kept.append((lower_keys, coeff))
         if not kept:
             continue
         for nu in itertools.product(*map(enumerate_partitions, nu_sizes)):
-            total = sum(coeff * _node_product(nu, lower, labels)
-                        for labels, coeff in kept)
+            total = sum(coeff * _node_product(nu, lower_keys)
+                        for lower_keys, coeff in kept)
             if total:
                 result[nu] = total
     return result

@@ -15,10 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
-from . import branching, perms, shapes, verify
+from . import branching, perms, shapes
 from .lr import lr_coefficient, lr_multi
-from .shapes import concat_parts
 
 USAGE_ERROR, COMPUTATION_ERROR, VERIFICATION_FAILURE = 1, 2, 3
 
@@ -62,26 +62,64 @@ def parse_composition(text: str) -> shapes.Composition:
     return shapes.check_composition(int(v) for v in inner.split(","))
 
 
-def _mp_sort_key(mp):
-    return (concat_parts(mp), mp)
+def _ordered(mults, n: int) -> list:
+    """The keys of `mults` in descending order of (concat_parts(nu), nu).
+
+    `n` bounds every part.  Below 256 the bytes of the concatenated parts
+    compare exactly like their tuple, and are cheaper to build and compare.
+    """
+    key = bytes if n < 256 else tuple
+    return [nu for _, nu in sorted(zip(map(key, map(chain.from_iterable,
+                                                    mults)), mults),
+                                   reverse=True)]
 
 
-def _mult_payload(m, n, rule, lam, mults) -> dict:
-    ordered = sorted(mults, key=_mp_sort_key, reverse=True)
-    return {
-        "m": m, "n": n, "rule": rule, "lambda": lam,
-        "multiplicities": [{"nu": nu, "mult": mults[nu]} for nu in ordered],
-    }
+def _mult_text(m: int, n: int, rule: str, lam, mults, as_json: bool) -> str:
+    """The stdout of a branching answer, equal to the generic rendering.
 
-
-def _mult_human(payload) -> str:
-    if payload.get("code") == "method-disagreement":
-        return "methods disagree"
-    lines = [f"rule={payload['rule']} m={payload['m']} n={payload['n']} "
-             f"lambda={json.dumps(payload['lambda'])}"]
-    for entry in payload["multiplicities"]:
-        lines.append(f"  nu={json.dumps(entry['nu'])} mult={entry['mult']}")
+    The generic rendering would be ``json.dumps(payload, sort_keys=True)``
+    of {"lambda", "m", "multiplicities": [{"mult", "nu"}], "n", "rule"},
+    or a header line with one ``nu=... mult=...`` line per entry, both in
+    `_ordered` order.  Both are spliced here from one JSON string per
+    distinct partition, as answers run to thousands of entries.
+    """
+    part_text = {p: json.dumps(p)
+                 for p in set(chain.from_iterable(mults))}.__getitem__
+    ordered = _ordered(mults, n)
+    if as_json:
+        entries = ", ".join(['{"mult": %d, "nu": [%s]}'
+                             % (mults[nu], ", ".join(map(part_text, nu)))
+                             for nu in ordered])
+        return ('{"lambda": %s, "m": %d, "multiplicities": [%s], "n": %d, '
+                '"rule": "%s"}' % (json.dumps(lam), m, entries, n, rule))
+    lines = [f"rule={rule} m={m} n={n} lambda={json.dumps(lam)}"]
+    lines += ["  nu=[%s] mult=%d" % (", ".join(map(part_text, nu)), mults[nu])
+              for nu in ordered]
     return "\n".join(lines)
+
+
+def _branch(args) -> tuple[str, int]:
+    """The stdout of branch-first or branch-second, and its exit code."""
+    lam = parse_multipartition(args.lam)
+    n = sum(map(sum, lam))
+    if args.command == "branch-second":
+        mults = branching.branch_second(args.m, lam)
+        return _mult_text(args.m, n, "second", lam, mults, args.as_json), 0
+    if args.method == "both":
+        mats = branching.branch_first(args.m, lam, method="matrices")
+        labs = branching.branch_first(args.m, lam, method="labellings")
+        if mats != labs:
+            if not args.as_json:
+                return "methods disagree", VERIFICATION_FAILURE
+            return ('{"code": "method-disagreement", "labellings": %s, '
+                    '"matrices": %s, "status": "error"}'
+                    % (_mult_text(args.m, n, "first", lam, labs, True),
+                       _mult_text(args.m, n, "first", lam, mats, True)),
+                    VERIFICATION_FAILURE)
+        mults = mats
+    else:
+        mults = branching.branch_first(args.m, lam, method=args.method)
+    return _mult_text(args.m, n, "first", lam, mults, args.as_json), 0
 
 
 def _labellings_human(payload) -> str:
@@ -111,8 +149,6 @@ _HUMAN = {
                               f"lower: {json.dumps(p['lower'])}\n"
                               f"edges: {len(p['edges'])}"),
     "labellings": _labellings_human,
-    "branch-first": _mult_human,
-    "branch-second": _mult_human,
     "wreath-dim": lambda p: str(p["dim"]),
     "cosets": lambda p: "\n".join(p["reps"]),
     "rho": lambda p: "\n".join(f"rho_{e['index']} = {e['cycles']}"
@@ -177,15 +213,27 @@ def build_parser() -> _Parser:
     p.add_argument("--sizes", required=True)
 
     p = add("verify", help="run an exhaustive verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
+    # checked in _run, so that only this command imports the oracles
+    p.add_argument("--suite", required=True)
     p.add_argument("--max-m", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None)
 
     return parser
 
 
-def _run(args) -> tuple[dict, int]:
-    """The payload of one command, and its exit code."""
+def _run(args) -> tuple[str, int]:
+    """The stdout of one command, and its exit code."""
+    if args.command in ("branch-first", "branch-second"):
+        return _branch(args)
+    payload, code = _payload(args)
+    if args.as_json:
+        # payloads are fresh dicts and tuples, so there is no cycle to find
+        return json.dumps(payload, sort_keys=True, check_circular=False), code
+    return _HUMAN[args.command](payload), code
+
+
+def _payload(args) -> tuple[dict, int]:
+    """The payload of a command other than branch-*, and its exit code."""
     cmd = args.command
     if cmd == "partitions":
         return {"m": args.m,
@@ -230,30 +278,6 @@ def _run(args) -> tuple[dict, int]:
         return {"m": args.m, "lambda": lam, "nu": nu, "labellings": entries,
                 "total": sum(e["coefficient"] for e in entries)}, 0
 
-    if cmd == "branch-first":
-        lam = parse_multipartition(args.lam)
-        n = sum(map(sum, lam))
-        if args.method == "both":
-            mats = branching.branch_first(args.m, lam, method="matrices")
-            labs = branching.branch_first(args.m, lam, method="labellings")
-            if mats != labs:
-                return {"status": "error", "code": "method-disagreement",
-                        "matrices": _mult_payload(args.m, n, "first",
-                                                  lam, mats),
-                        "labellings": _mult_payload(args.m, n, "first",
-                                                    lam, labs)}, \
-                    VERIFICATION_FAILURE
-            mults = mats
-        else:
-            mults = branching.branch_first(args.m, lam, method=args.method)
-        return _mult_payload(args.m, n, "first", lam, mults), 0
-
-    if cmd == "branch-second":
-        lam = parse_multipartition(args.lam)
-        n = sum(map(sum, lam))
-        mults = branching.branch_second(args.m, lam)
-        return _mult_payload(args.m, n, "second", lam, mults), 0
-
     if cmd == "wreath-dim":
         lam = parse_multipartition(args.lam)
         return {"m": args.m, "lambda": lam,
@@ -274,6 +298,10 @@ def _run(args) -> tuple[dict, int]:
                          for i, p in perms.rho_cosets(sizes)]}, 0
 
     if cmd == "verify":
+        from . import verify
+        if args.suite not in verify.SUITES:
+            raise UsageError(f"unknown suite {args.suite!r}; choose from "
+                             f"{', '.join(sorted(verify.SUITES))}")
         report = verify.run_suite(args.suite, args.max_m, args.max_n)
         return report, VERIFICATION_FAILURE if report["failures"] else 0
 
@@ -288,7 +316,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        payload, code = _run(args)
+        text, code = _run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -297,11 +325,7 @@ def main(argv=None) -> int:
                "message": str(exc)}
         print(json.dumps(err, sort_keys=True))
         return COMPUTATION_ERROR
-    if args.as_json:
-        # payloads are fresh dicts and tuples, so there is no cycle to find
-        print(json.dumps(payload, sort_keys=True, check_circular=False))
-    else:
-        print(_HUMAN[args.command](payload))
+    print(text)
     return code
 
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import re
 
-from wreathbranch import enumerate_partitions, lr_multi
+from wreathbranch import concat_parts, enumerate_partitions, lr_multi
 
 
 def partitions_by_filter(m: int) -> list[tuple[int, ...]]:
@@ -362,3 +363,26 @@ def filtration_multiplicities_by_loop(A, eta) -> dict:
                 w *= v
             result[nu] = result.get(nu, 0) + w
     return {k: v for k, v in result.items() if v}
+
+
+def branch_payload(m: int, rule: str, lam, mults) -> dict:
+    """The payload of a branch-first or branch-second answer, as a dict.
+
+    The reference for the CLI's spliced output: `json.dumps` of this dict
+    with ``sort_keys=True`` is the ``--json`` stdout.  Entries run in
+    descending order of (concat_parts(nu), nu).
+    """
+    ordered = sorted(mults, key=lambda nu: (concat_parts(nu), nu),
+                     reverse=True)
+    return {"m": m, "n": sum(map(sum, lam)), "rule": rule, "lambda": lam,
+            "multiplicities": [{"nu": nu, "mult": mults[nu]}
+                               for nu in ordered]}
+
+
+def branch_human(payload: dict) -> str:
+    """The human stdout of a `branch_payload`, without the final newline."""
+    lines = [f"rule={payload['rule']} m={payload['m']} n={payload['n']} "
+             f"lambda={json.dumps(payload['lambda'])}"]
+    for entry in payload["multiplicities"]:
+        lines.append(f"  nu={json.dumps(entry['nu'])} mult={entry['mult']}")
+    return "\n".join(lines)

@@ -1,9 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from wreathbranch import cli, verify
+import wreathbranch
+from helpers import branch_human, branch_payload
+from wreathbranch import branching, cli, verify
+from wreathbranch.shapes import (concat_parts, enumerate_partitions,
+                                 multipartitions)
 
 
 # Exact stdout, byte for byte, of commands whose counts alone would not
@@ -426,3 +435,118 @@ def test_json_payloads_are_valid_json(capsys, argv):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     json.loads(out)
+
+
+def _branch_cases():
+    """(rule, m, lambda) for both rules, every lambda with m, n <= 4."""
+    for m in range(1, 5):
+        components = len(enumerate_partitions(m))
+        for n in range(5):
+            for lam in multipartitions(n, components):
+                yield "first", m, lam
+                if n:
+                    yield "second", m, lam
+
+
+def test_branch_output_matches_the_generic_encoding():
+    # the CLI splices its branching answers from cached partition texts;
+    # they must equal the generic encoding of the payload, byte for byte.
+    # main prints what _run returns; one parser serves every case, as
+    # building it takes most of a small request.
+    parser = cli.build_parser()
+    answer = {"first": branching.branch_first,
+              "second": branching.branch_second}
+    cases = 0
+    for rule, m, lam in _branch_cases():
+        expected = branch_payload(m, rule, lam, answer[rule](m, lam))
+        argv = [f"branch-{rule}", "-m", str(m), "--lambda", json.dumps(lam)]
+        assert cli._run(parser.parse_args(argv + ["--json"])) == (
+            json.dumps(expected, sort_keys=True), 0), argv
+        assert cli._run(parser.parse_args(argv)) == (
+            branch_human(expected), 0), argv
+        cases += 1
+    assert cases == 830
+
+
+_PARTITION = st.lists(st.one_of(st.integers(1, 3), st.integers(1, 300)),
+                      max_size=4).map(lambda p: tuple(sorted(p, reverse=True)))
+
+
+@given(st.dictionaries(st.tuples(_PARTITION, _PARTITION, _PARTITION),
+                       st.integers(1, 9), max_size=40))
+def test_ordering_matches_the_tuple_key_sort(mults):
+    # n bounds every part; past 255 the ordering takes tuple keys
+    n = max((sum(map(sum, nu)) for nu in mults), default=0)
+    assert cli._ordered(mults, n) == sorted(
+        mults, key=lambda nu: (concat_parts(nu), nu), reverse=True)
+
+
+def test_parts_past_255_are_ordered_by_tuple_keys(capsys):
+    lam = ((300,), (1,))
+    code, out, _ = run(capsys, "branch-second", "-m", "2", "--lambda",
+                       "[[300],[1]]", "--json")
+    assert code == 0
+    expected = branch_payload(2, "second", lam,
+                              branching.branch_second(2, lam))
+    assert out == json.dumps(expected, sort_keys=True) + "\n"
+    assert [e["nu"] for e in expected["multiplicities"]] == [
+        ((300,), ()), ((299,), (1,))]
+
+
+def test_method_disagreement(capsys, monkeypatch):
+    lam = ((2,), (1, 1), (1, 1))
+    labelling_route = branching._labelling_multiplicities
+
+    def perturbed(layer, lam):
+        mults = labelling_route(layer, lam)
+        mults[next(iter(mults))] += 1
+        return mults
+
+    monkeypatch.setattr(branching, "_labelling_multiplicities", perturbed)
+    mats = branching.branch_first(3, lam, method="matrices")
+    labs = branching.branch_first(3, lam, method="labellings")
+    assert mats != labs
+    argv = ("branch-first", "-m", "3", "--lambda", "[[2],[1,1],[1,1]]",
+            "--method", "both")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 3
+    expected = {"status": "error", "code": "method-disagreement",
+                "matrices": branch_payload(3, "first", lam, mats),
+                "labellings": branch_payload(3, "first", lam, labs)}
+    assert out == json.dumps(expected, sort_keys=True) + "\n"
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out == "methods disagree\n"
+
+
+def _fresh_python(*args):
+    """Run the package's interpreter on `args` in a new process."""
+    src = str(Path(wreathbranch.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + path if path else src)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_branch_requests_leave_the_oracles_unimported():
+    script = ("import contextlib, io, sys\n"
+              "from wreathbranch import cli\n"
+              "imported = ['wreathbranch.verify' in sys.modules]\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    for rule in ('branch-first', 'branch-second'):\n"
+              "        cli.main([rule, '-m', '3', '--lambda', "
+              "'[[2],[1,1],[1,1]]'])\n"
+              "imported.append('wreathbranch.verify' in sys.modules)\n"
+              "print(imported)\n")
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False]\n"
+
+
+def test_unknown_verify_suite_is_usage_error_in_a_fresh_process():
+    proc = _fresh_python("-m", "wreathbranch.cli", "verify", "--suite",
+                         "nope")
+    assert proc.returncode == 1
+    assert "usage error" in proc.stderr
+    assert proc.stdout == ""
