@@ -22,6 +22,12 @@ from .lr import lr_coefficient, lr_multi
 
 USAGE_ERROR, COMPUTATION_ERROR, VERIFICATION_FAILURE = 1, 2, 3
 
+# the names of verify.SUITES, kept here so that only the verify command
+# imports the oracles
+VERIFY_SUITES = ("cosets", "dimensions-first", "dimensions-second",
+                 "labelling-equivalence", "length-lemma", "lr-oracle",
+                 "stabilizers")
+
 
 class UsageError(Exception):
     pass
@@ -213,8 +219,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sizes", required=True)
 
     p = add("verify", help="run an exhaustive verification suite")
-    # checked in _run, so that only this command imports the oracles
-    p.add_argument("--suite", required=True)
+    p.add_argument("--suite", required=True, choices=VERIFY_SUITES)
     p.add_argument("--max-m", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None)
 
@@ -299,9 +304,6 @@ def _payload(args) -> tuple[dict, int]:
 
     if cmd == "verify":
         from . import verify
-        if args.suite not in verify.SUITES:
-            raise UsageError(f"unknown suite {args.suite!r}; choose from "
-                             f"{', '.join(sorted(verify.SUITES))}")
         report = verify.run_suite(args.suite, args.max_m, args.max_n)
         return report, VERIFICATION_FAILURE if report["failures"] else 0
 

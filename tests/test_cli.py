@@ -538,15 +538,18 @@ def test_branch_requests_leave_the_oracles_unimported():
               "        cli.main([rule, '-m', '3', '--lambda', "
               "'[[2],[1,1],[1,1]]'])\n"
               "imported.append('wreathbranch.verify' in sys.modules)\n"
-              "print(imported)\n")
+              "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+              "    code = cli.main(['verify', '--suite', 'nope'])\n"
+              "imported.append('wreathbranch.verify' in sys.modules)\n"
+              "print(imported, code, 'usage error' in err.getvalue())\n")
     proc = _fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, False]\n"
+    assert proc.stdout == "[False, False, False] 1 True\n"
 
 
-def test_unknown_verify_suite_is_usage_error_in_a_fresh_process():
-    proc = _fresh_python("-m", "wreathbranch.cli", "verify", "--suite",
-                         "nope")
-    assert proc.returncode == 1
-    assert "usage error" in proc.stderr
-    assert proc.stdout == ""
+def test_verify_suites_match_the_oracles(capsys):
+    assert cli.VERIFY_SUITES == tuple(sorted(verify.SUITES))
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    assert "{" + ",".join(cli.VERIFY_SUITES) + "}" in capsys.readouterr().out
+
