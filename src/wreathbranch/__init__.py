@@ -6,8 +6,8 @@ from .branching import (YoungLayer, branch_first, branch_second,
                         young_layer)
 from .lr import lr_coefficient, lr_multi
 from .perms import descents, double_coset_reps, length, rho_cosets
-from .shapes import (concat_parts, enumerate_partitions, multipartitions,
-                     removable_boxes, size_composition, specht_dimension)
+from .shapes import (enumerate_partitions, multipartitions, removable_boxes,
+                     size_composition, specht_dimension)
 from .tableaux import (enumerate_skew_ssyt, is_lattice_word,
                        reverse_reading_word)
 
@@ -17,7 +17,7 @@ __all__ = [
     "labelling_coefficient", "wreath_specht_dimension", "young_layer",
     "lr_coefficient", "lr_multi",
     "descents", "double_coset_reps", "length", "rho_cosets",
-    "concat_parts", "enumerate_partitions", "multipartitions",
+    "enumerate_partitions", "multipartitions",
     "removable_boxes", "size_composition", "specht_dimension",
     "enumerate_skew_ssyt", "is_lattice_word", "reverse_reading_word",
 ]

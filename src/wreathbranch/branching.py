@@ -10,7 +10,6 @@ component, weighted by a hook-length dimension.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from functools import cache, lru_cache
 from math import factorial, prod
 from operator import itemgetter
@@ -19,7 +18,7 @@ from typing import NamedTuple
 from .lr import _lr_multi, _lr_multi_sorted
 from .shapes import (Multipartition, Partition, _removable_boxes,
                      _specht_dimension, check_partition, compositions,
-                     enumerate_partitions, fillings, removable_boxes,
+                     enumerate_partitions, removable_boxes,
                      size_composition)
 
 # A multipartition matrix is a tuple of rows; each row holds one
@@ -73,8 +72,10 @@ def enumerate_good_labellings(layer: YoungLayer, lam: Multipartition,
     per node.  Each call returns a new list.
     """
     lam, nu = _check_nodes(layer, lam, nu)
-    return _good_labellings(layer, size_composition(lam),
-                            size_composition(nu))
+    nu_sizes = size_composition(nu)
+    return [labels for sizes in _size_matrices(layer, size_composition(lam))
+            if tuple(map(sum, zip(*sizes))) == nu_sizes
+            for labels in _labellings(layer, sizes)]
 
 
 def labelling_coefficient(layer: YoungLayer, lam: Multipartition,
@@ -99,16 +100,19 @@ def labelling_coefficient(layer: YoungLayer, lam: Multipartition,
 
 # branch_first holds checked partitions, so it calls the cores below.
 
-def _good_labellings(layer: YoungLayer, lam_sizes, nu_sizes) -> list[tuple]:
-    """Good labellings for upper node sizes `lam_sizes`, lower `nu_sizes`."""
-    # a filling's (row, entry) counts are the edge sizes of one labelling
-    box_rows = [i for i, size in enumerate(lam_sizes) for _ in range(size)]
-    out = []
-    for flat in fillings(layer.adjacency, lam_sizes, nu_sizes):
-        sizes = Counter(zip(box_rows, flat))
-        out.extend(itertools.product(*(enumerate_partitions(sizes[e])
-                                       for e in layer.edges)))
-    return out
+def _size_matrices(layer: YoungLayer, lam_sizes):
+    """Edge-size matrices above `lam_sizes`, row-major in `compositions` order.
+
+    Row i is a composition of lam_sizes[i], zero off adjacency row i.
+    """
+    return itertools.product(*(compositions(s, [s * a for a in row])
+                               for s, row in zip(lam_sizes, layer.adjacency)))
+
+
+def _labellings(layer: YoungLayer, sizes):
+    """The labellings with edge-size matrix `sizes`, aligned with the edges."""
+    return itertools.product(*(enumerate_partitions(sizes[i][j])
+                               for i, j in layer.edges))
 
 
 def _incidence(layer: YoungLayer):
@@ -148,20 +152,20 @@ def _labelling_groups(m: int, lam_sizes) -> tuple:
     """(nu_sizes, good labellings) pairs for upper node sizes `lam_sizes`.
 
     One pair per size composition of nu that has a good labelling, in
-    `compositions` order.  Each labelling is stored as the pair
-    (upper keys, lower keys) of `_node_keys`, built once for every lambda
-    that reads it; all are tuples, so no caller can change what later
-    lambda read.
+    `compositions` order, which is reverse tuple order.  Each labelling
+    is the pair (upper keys, lower keys) of `_node_keys`, built once for
+    every lambda that reads it; all are tuples, so no caller can change
+    what later lambda read.
     """
     layer = young_layer(m)
     upper, lower = _incidence(layer)
-    n = sum(lam_sizes)
-    return tuple((nu_sizes, tuple((_node_keys(upper, labels),
-                                   _node_keys(lower, labels))
-                                  for labels in labellings))
-                 for nu_sizes in compositions(n, (n,) * len(layer.lower))
-                 if (labellings := _good_labellings(layer, lam_sizes,
-                                                    nu_sizes)))
+    groups: dict[tuple, list] = {}
+    for sizes in _size_matrices(layer, lam_sizes):
+        groups.setdefault(tuple(map(sum, zip(*sizes))), []).extend(
+            (_node_keys(upper, labels), _node_keys(lower, labels))
+            for labels in _labellings(layer, sizes))
+    return tuple((nu_sizes, tuple(group))
+                 for nu_sizes, group in sorted(groups.items(), reverse=True))
 
 
 def _labelling_multiplicities(layer: YoungLayer, lam: Multipartition) -> dict:

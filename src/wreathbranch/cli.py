@@ -69,7 +69,7 @@ def parse_composition(text: str) -> shapes.Composition:
 
 
 def _ordered(mults, n: int) -> list:
-    """The keys of `mults` in descending order of (concat_parts(nu), nu).
+    """The keys of `mults`, descending by (concatenated parts of nu, nu).
 
     `n` bounds every part.  Below 256 the bytes of the concatenated parts
     compare exactly like their tuple, and are cheaper to build and compare.

@@ -95,10 +95,9 @@ def double_coset_reps(gamma: Composition,
     alpha = check_composition(alpha)
     if sum(alpha) != sum(gamma):
         raise ValueError("shape and type have different sizes")
-    full = ((1,) * len(gamma),) * len(alpha)
     return tuple(tuple(pos + 1 for pos in sorted(range(len(flat)),
                                                  key=flat.__getitem__))
-                 for flat in fillings(full, alpha, gamma))
+                 for flat in fillings(alpha, gamma))
 
 
 def rho_cosets(sizes: Composition) -> list[tuple[int, Perm]]:

@@ -118,11 +118,6 @@ def _specht_dimension(lam: Partition) -> int:
     return dim
 
 
-def concat_parts(components) -> Composition:
-    """Concatenate the parts of a multicomposition into one composition."""
-    return tuple(itertools.chain.from_iterable(components))
-
-
 def size_composition(mp: Multipartition) -> Composition:
     """The composition of component sizes of a multipartition."""
     return tuple(sum(c) for c in mp)
@@ -144,12 +139,12 @@ def compositions(n: int, caps):
             yield (first,) + tail
 
 
-def fillings(support, row_sums, col_sums) -> list[tuple[int, ...]]:
+def fillings(row_sums, col_sums) -> list[tuple[int, ...]]:
     """All flat fillings with weakly increasing rows and the given margins.
 
-    Row i has row_sums[i] boxes and may hold entry j (0-based) only
-    where support[i][j] is 1; entry j is used col_sums[j] times.  The
-    rows are concatenated in order.  Order: lexicographic.
+    Row i has row_sums[i] boxes and entry j (0-based) is used
+    col_sums[j] times.  The rows are concatenated in order.  Order:
+    lexicographic.
     """
     rows = [i for i, size in enumerate(row_sums) for _ in range(size)]
     n = len(rows)
@@ -163,11 +158,9 @@ def fillings(support, row_sums, col_sums) -> list[tuple[int, ...]]:
         if pos == n:
             out.append(tuple(flat))
             return
-        i = rows[pos]
-        allowed = support[i]
-        lo = flat[-1] if pos and rows[pos - 1] == i else 0
+        lo = flat[-1] if pos and rows[pos - 1] == rows[pos] else 0
         for v in range(lo, len(remaining)):
-            if remaining[v] and allowed[v]:
+            if remaining[v]:
                 remaining[v] -= 1
                 flat.append(v)
                 backtrack(pos + 1)

@@ -11,8 +11,14 @@ import functools
 import itertools
 import json
 import re
+from collections import Counter
 
-from wreathbranch import concat_parts, enumerate_partitions, lr_multi
+from wreathbranch import enumerate_partitions, lr_multi
+
+
+def concat_parts(components) -> tuple[int, ...]:
+    """Concatenate the parts of a multicomposition into one composition."""
+    return tuple(itertools.chain.from_iterable(components))
 
 
 def partitions_by_filter(m: int) -> list[tuple[int, ...]]:
@@ -151,6 +157,23 @@ def fillings_by_filter(support, row_sums, col_sums):
         if all(support[i][v] for i, row in enumerate(rows) for v in row) \
                 and all(flat.count(j) == c for j, c in enumerate(col_sums)):
             out.append(flat)
+    return out
+
+
+def good_labellings_by_fillings(layer, lam_sizes, nu_sizes):
+    """Good labellings for upper node sizes `lam_sizes`, lower `nu_sizes`.
+
+    The reference for the size-matrix enumerator of ``branching``: the
+    (row, entry) counts of each filling supported on the layer's
+    adjacency are the edge sizes of the labellings, which take every
+    partition of each size, in edge order.
+    """
+    box_rows = [i for i, size in enumerate(lam_sizes) for _ in range(size)]
+    out = []
+    for flat in fillings_by_filter(layer.adjacency, lam_sizes, nu_sizes):
+        sizes = Counter(zip(box_rows, flat))
+        out.extend(itertools.product(*(enumerate_partitions(sizes[e])
+                                       for e in layer.edges)))
     return out
 
 

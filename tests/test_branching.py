@@ -2,17 +2,18 @@ import random
 
 import pytest
 
-from helpers import filtration_multiplicities_by_loop
-from wreathbranch.branching import (_filtration_multiplicities,
-                                    _labelling_groups, branch_first,
-                                    branch_second,
+from helpers import (filtration_multiplicities_by_loop,
+                     good_labellings_by_fillings)
+from wreathbranch.branching import (_filtration_multiplicities, _incidence,
+                                    _labelling_groups, _node_keys,
+                                    branch_first, branch_second,
                                     enumerate_good_labellings,
                                     filtration_multiplicities,
                                     labelling_coefficient,
                                     wreath_specht_dimension, young_layer)
-from wreathbranch.shapes import (enumerate_partitions, multipartitions,
-                                 removable_boxes, size_composition,
-                                 specht_dimension)
+from wreathbranch.shapes import (compositions, enumerate_partitions,
+                                 multipartitions, removable_boxes,
+                                 size_composition, specht_dimension)
 from wreathbranch.verify import verify_dimensions
 
 LAM36 = ((2,), (1, 1), (1, 1))
@@ -79,6 +80,38 @@ def test_good_labellings_reject_non_multipartitions():
                     (((True,), (1, 1), (1, 1)), NU36)):
         with pytest.raises(ValueError, match="not a partition"):
             enumerate_good_labellings(layer, lam, nu)
+
+
+def _one_partition_each(sizes):
+    return tuple((s,) if s else () for s in sizes)
+
+
+def test_labellings_match_the_filling_reference():
+    # every (lambda sizes, nu sizes) with m <= 4 and n <= 4: 1,666 pairs
+    pairs = 0
+    for m in range(1, 5):
+        layer = young_layer(m)
+        upper, lower = _incidence(layer)
+        for n in range(5):
+            for lam_sizes in compositions(n, (n,) * len(layer.upper)):
+                groups = []
+                for nu_sizes in compositions(n, (n,) * len(layer.lower)):
+                    want = good_labellings_by_fillings(layer, lam_sizes,
+                                                       nu_sizes)
+                    got = enumerate_good_labellings(
+                        layer, _one_partition_each(lam_sizes),
+                        _one_partition_each(nu_sizes))
+                    assert got == want, (m, lam_sizes, nu_sizes)
+                    pairs += 1
+                    if want:
+                        groups.append((nu_sizes, tuple(
+                            (_node_keys(upper, labels),
+                             _node_keys(lower, labels))
+                            for labels in want)))
+                # the memo's own enumerator, not an entry it holds
+                assert _labelling_groups.__wrapped__(m, lam_sizes) == \
+                    tuple(groups), (m, lam_sizes)
+    assert pairs == 1666
 
 
 def test_labelling_coefficient_checks_before_the_cache():

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wreathbranch
-from helpers import branch_human, branch_payload
+from helpers import branch_human, branch_payload, concat_parts
 from wreathbranch import branching, cli, verify
-from wreathbranch.shapes import (concat_parts, enumerate_partitions,
-                                 multipartitions)
+from wreathbranch.shapes import enumerate_partitions, multipartitions
 
 
 # Exact stdout, byte for byte, of commands whose counts alone would not

@@ -1,5 +1,5 @@
+import ast
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,15 +20,23 @@ def test_oracles_are_not_exported():
 
 
 def test_every_exported_name_has_a_caller_in_the_package():
-    # a name only the tests use belongs in the tests, not in __all__
+    # a name only the tests use belongs in the tests, not in __all__; a
+    # reference is a name, an attribute or an import in the code, so a
+    # docstring or comment that mentions the name does not count
     package = Path(wreathbranch.__file__).resolve().parent
-    modules = [p.read_text() for p in sorted(package.glob("*.py"))
-               if p.name != "__init__.py"]
-    for name in wreathbranch.__all__:
-        word = re.compile(rf"\b{name}\b")
-        definition = re.compile(rf"^\s*(def|class)\s+{name}\b")
-        assert any(word.search(line) and not definition.match(line)
-                   for text in modules for line in text.splitlines()), name
+    referenced = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    assert set(wreathbranch.__all__) <= referenced, (
+        sorted(set(wreathbranch.__all__) - referenced))
 
 
 def run_optimized(code: str) -> subprocess.CompletedProcess:
