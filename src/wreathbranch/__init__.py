@@ -1,9 +1,7 @@
 """Exact branching multiplicities for Specht modules of S_m wr S_n."""
 
 from .branching import (YoungLayer, branch_first, branch_second,
-                        enumerate_good_labellings, filtration_multiplicities,
-                        labelling_coefficient, wreath_specht_dimension,
-                        young_layer)
+                        good_labellings, wreath_specht_dimension, young_layer)
 from .lr import lr_coefficient, lr_multi
 from .perms import descents, double_coset_reps, length, rho_cosets
 from .shapes import (enumerate_partitions, multipartitions, removable_boxes,
@@ -12,9 +10,8 @@ from .tableaux import (enumerate_skew_ssyt, is_lattice_word,
                        reverse_reading_word)
 
 __all__ = [
-    "YoungLayer", "branch_first", "branch_second",
-    "enumerate_good_labellings", "filtration_multiplicities",
-    "labelling_coefficient", "wreath_specht_dimension", "young_layer",
+    "YoungLayer", "branch_first", "branch_second", "good_labellings",
+    "wreath_specht_dimension", "young_layer",
     "lr_coefficient", "lr_multi",
     "descents", "double_coset_reps", "length", "rho_cosets",
     "enumerate_partitions", "multipartitions",

@@ -52,53 +52,37 @@ def young_layer(m: int) -> YoungLayer:
     return YoungLayer(m, upper, lower, edges, adjacency)
 
 
-def _check_nodes(layer: YoungLayer, lam, nu):
-    """`lam` and `nu` as multipartitions on the layer's nodes, or ValueError."""
-    lam = tuple(map(check_partition, lam))
+def good_labellings(m: int, lam: Multipartition,
+                    nu: Multipartition) -> list[tuple[tuple, int]]:
+    """The good labellings L of young_layer(m) for lam over nu, with M(L).
+
+    A good labelling gives each edge a partition, so that the label
+    sizes at each upper node sum to the size of lam's component there,
+    and likewise for nu below.  Each entry is (labels, M(L)): the labels
+    are aligned with the layer's edges, and M(L) is the product over all
+    nodes of lr_multi(component, incident labels).  ValueError unless
+    lam and nu are multipartitions with one component per node.  Each
+    call returns a new list.
+    """
+    lam = _check_lambda(m, lam)
+    layer = young_layer(m)
+    nu = tuple(nu)
+    if len(nu) != len(layer.lower):
+        raise ValueError(f"nu must have {len(layer.lower)} components")
     nu = tuple(map(check_partition, nu))
-    if len(lam) != len(layer.upper) or len(nu) != len(layer.lower):
-        raise ValueError("component count does not match the layer")
-    return lam, nu
-
-
-def enumerate_good_labellings(layer: YoungLayer, lam: Multipartition,
-                              nu: Multipartition) -> list[tuple]:
-    """All partition labellings of the edges with matching sizes at nodes.
-
-    Each labelling is a tuple of labels aligned with layer.edges.  At
-    each upper node the incident label sizes must sum to the size of
-    the corresponding component of `lam`, and likewise for `nu` below.
-    ValueError unless lam and nu are multipartitions with one component
-    per node.  Each call returns a new list.
-    """
-    lam, nu = _check_nodes(layer, lam, nu)
     nu_sizes = size_composition(nu)
-    return [labels for sizes in _size_matrices(layer, size_composition(lam))
-            if tuple(map(sum, zip(*sizes))) == nu_sizes
-            for labels in _labellings(layer, sizes)]
-
-
-def labelling_coefficient(layer: YoungLayer, lam: Multipartition,
-                          nu: Multipartition, labels) -> int:
-    """Product over all nodes of the generalized LR coefficient.
-
-    `labels` is aligned with layer.edges.  Each node's coefficient is
-    lr_multi(component, incident labels), which depends neither on the
-    order of the incident labels nor on empty ones.  ValueError unless
-    lam and nu are multipartitions with one component per node and
-    `labels` one partition per edge.
-    """
-    # checked before the cached LR cores: True == 1 and both hash alike
-    lam, nu = _check_nodes(layer, lam, nu)
-    labels = tuple(map(check_partition, labels))
-    if len(labels) != len(layer.edges):
-        raise ValueError("labels must have one entry per edge")
     upper, lower = _incidence(layer)
-    coeff = _node_product(lam, _node_keys(upper, labels))
-    return coeff and coeff * _node_product(nu, _node_keys(lower, labels))
+    out = []
+    for sizes in _size_matrices(layer, size_composition(lam)):
+        if tuple(map(sum, zip(*sizes))) == nu_sizes:
+            for labels in _labellings(layer, sizes):
+                coeff = _node_product(lam, _node_keys(upper, labels))
+                out.append((labels, coeff and coeff * _node_product(
+                    nu, _node_keys(lower, labels))))
+    return out
 
 
-# branch_first holds checked partitions, so it calls the cores below.
+# The entry points hold checked partitions, so they call the cores below.
 
 def _size_matrices(layer: YoungLayer, lam_sizes):
     """Edge-size matrices above `lam_sizes`, row-major in `compositions` order.
@@ -214,28 +198,15 @@ def _row_fillings(support_row, eta_i: Partition) -> tuple:
     return tuple(out)
 
 
-def filtration_multiplicities(A, eta: Multipartition) -> dict:
+def _filtration_multiplicities(A, eta: Multipartition) -> dict:
     """The multiplicity map of the matrix-sum formula.
 
-    A is a 0/1 matrix with one row per component of eta.  With t the
-    number of columns of A, for each t-multipartition nu of n, sums over
+    A is a 0/1 matrix of tuples with one row per component of eta.  For
+    each multipartition nu with one component per column of A, sums over
     the fillings of A by partitions (one per support entry, () off it)
     the product of row coefficients lr_multi(eta^i, R_i) and column
     coefficients lr_multi(nu^j, C_j).  Zero entries are omitted.
     """
-    A = tuple(tuple(row) for row in A)
-    eta = tuple(map(check_partition, eta))
-    if len(eta) != len(A):
-        raise ValueError("eta must have one component per row of A")
-    t = len(A[0]) if A else 0
-    if any(len(row) != t for row in A):
-        raise ValueError("the rows of A must have equal length")
-    if any(a not in (0, 1) for row in A for a in row):
-        raise ValueError("the entries of A must be 0 or 1")
-    return _filtration_multiplicities(A, eta)
-
-
-def _filtration_multiplicities(A, eta: Multipartition) -> dict:
     # a row with an empty eta_i has one filling, all (), at coefficient 1
     per_row = [_row_fillings(row, part) for row, part in zip(A, eta) if part]
     if not per_row:

@@ -272,14 +272,11 @@ def _payload(args) -> tuple[dict, int]:
         layer = branching.young_layer(args.m)
         lam = parse_multipartition(args.lam)
         nu = parse_multipartition(args.nu)
-        entries = []
-        for labels in branching.enumerate_good_labellings(layer, lam, nu):
-            entries.append({
-                "labels": [{"upper": i + 1, "lower": j + 1, "label": lbl}
-                           for (i, j), lbl in zip(layer.edges, labels)],
-                "coefficient": branching.labelling_coefficient(layer, lam, nu,
-                                                               labels),
-            })
+        entries = [{"labels": [{"upper": i + 1, "lower": j + 1, "label": lbl}
+                               for (i, j), lbl in zip(layer.edges, labels)],
+                    "coefficient": coeff}
+                   for labels, coeff in branching.good_labellings(args.m, lam,
+                                                                  nu)]
         return {"m": args.m, "lambda": lam, "nu": nu, "labellings": entries,
                 "total": sum(e["coefficient"] for e in entries)}, 0
 

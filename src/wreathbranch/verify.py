@@ -17,8 +17,7 @@ from math import factorial
 from operator import itemgetter, mul
 
 from .branching import (_wreath_specht_dimension, branch_first,
-                        branch_second, filtration_multiplicities,
-                        wreath_specht_dimension, young_layer)
+                        branch_second, wreath_specht_dimension)
 from .lr import _lr_coefficient
 from .perms import (Perm, all_perms, compose, descents, double_coset_reps,
                     from_cycles, inverse, length, rho_cosets,
@@ -388,20 +387,14 @@ def verify_length_lemma(max_n: int = 6) -> dict:
 
 
 def verify_labelling_equivalence(max_m: int = 4, max_n: int = 4) -> dict:
-    """Good-labelling sums equal the matrix-formula multiplicities.
-
-    The matrix formula is filtration_multiplicities on the layer's
-    adjacency matrix, as in branch_first; the dimensions-first suite
-    covers branch_first's own route to it.
-    """
+    """Good-labelling sums equal the matrix-formula multiplicities."""
     checked = 0
     failures = []
     for m in range(2, max_m + 1):
-        adjacency = young_layer(m).adjacency
-        r = len(adjacency)
+        r = len(enumerate_partitions(m))
         for n in range(1, max_n + 1):
             for lam in multipartitions(n, r):
-                via_mats = filtration_multiplicities(adjacency, lam)
+                via_mats = branch_first(m, lam, method="matrices")
                 via_labs = branch_first(m, lam, method="labellings")
                 checked += 1
                 if via_mats != via_labs:

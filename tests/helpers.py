@@ -177,6 +177,31 @@ def good_labellings_by_fillings(layer, lam_sizes, nu_sizes):
     return out
 
 
+def labellings_payload(layer, lam, nu) -> dict:
+    """The payload of the ``labellings`` command for lam over nu, as a dict.
+
+    The reference for the CLI: the labellings come from
+    `good_labellings_by_fillings`, and each M(L) is the product over all
+    nodes of lr_multi(component, the labels on its edges).
+    """
+    sizes = [tuple(map(sum, parts)) for parts in (lam, nu)]
+    entries = []
+    for labels in good_labellings_by_fillings(layer, *sizes):
+        coeff = 1
+        for k, part in enumerate(lam):
+            coeff *= lr_multi(part, [lbl for (i, _), lbl
+                                     in zip(layer.edges, labels) if i == k])
+        for k, part in enumerate(nu):
+            coeff *= lr_multi(part, [lbl for (_, j), lbl
+                                     in zip(layer.edges, labels) if j == k])
+        entries.append({"labels": [{"upper": i + 1, "lower": j + 1,
+                                    "label": lbl}
+                                   for (i, j), lbl in zip(layer.edges, labels)],
+                        "coefficient": coeff})
+    return {"m": layer.m, "lambda": lam, "nu": nu, "labellings": entries,
+            "total": sum(e["coefficient"] for e in entries)}
+
+
 def standard_tableau(alpha, gamma):
     """Shape-alpha tableau filled row-major with gamma_1 1s, gamma_2 2s, ..."""
     if sum(alpha) != sum(gamma):

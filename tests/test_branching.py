@@ -7,10 +7,8 @@ from helpers import (filtration_multiplicities_by_loop,
 from wreathbranch.branching import (_filtration_multiplicities, _incidence,
                                     _labelling_groups, _node_keys,
                                     branch_first, branch_second,
-                                    enumerate_good_labellings,
-                                    filtration_multiplicities,
-                                    labelling_coefficient,
-                                    wreath_specht_dimension, young_layer)
+                                    good_labellings, wreath_specht_dimension,
+                                    young_layer)
 from wreathbranch.shapes import (compositions, enumerate_partitions,
                                  multipartitions, removable_boxes,
                                  size_composition, specht_dimension)
@@ -47,39 +45,41 @@ def test_young_layer_small_and_m4():
 
 
 def test_good_labellings_worked_example():
-    layer = young_layer(3)
-    labellings = enumerate_good_labellings(layer, LAM36, NU36)
-    assert len(labellings) == 4
+    pairs = good_labellings(3, LAM36, NU36)
+    assert len(pairs) == 4
     # edge sizes are forced to 2,1,1,2; displayed labelling appears once
     displayed = ((2,), (1,), (1,), (1, 1))
-    assert displayed in labellings
-    coeffs = {labels: labelling_coefficient(layer, LAM36, NU36, labels)
-              for labels in labellings}
+    coeffs = dict(pairs)
+    assert len(coeffs) == 4
     assert coeffs[displayed] == 1
     assert sum(coeffs.values()) == 1  # the other three vanish
 
 
 def test_good_labellings_empty_multipartition():
-    layer = young_layer(3)
-    empties = enumerate_good_labellings(layer, ((), (), ()), ((), ()))
-    assert empties == [((), (), (), ())]
-    assert labelling_coefficient(layer, ((), (), ()), ((), ()),
-                                 empties[0]) == 1
+    assert good_labellings(3, ((), (), ()), ((), ())) == [
+        (((), (), (), ()), 1)]
 
 
 def test_good_labellings_component_mismatch():
-    layer = young_layer(3)
-    with pytest.raises(ValueError):
-        enumerate_good_labellings(layer, ((1,),), NU36)
+    with pytest.raises(ValueError, match="lambda must have 3 components"):
+        good_labellings(3, ((1,),), NU36)
+    with pytest.raises(ValueError, match="nu must have 2 components"):
+        good_labellings(3, LAM36, ((3,), (2, 1), ()))
 
 
 def test_good_labellings_reject_non_multipartitions():
-    layer = young_layer(3)
+    # the bool part comes after a cached answer for the int one, as
+    # True == 1 and both hash alike
+    nu5 = ((2,), (2, 1))
+    assert good_labellings(3, ((1,), (1, 1), (1, 1)), nu5)
     for lam, nu in ((((1, 1), (2, 1), (0, 1)), NU36),
                     (LAM36, ((3,), (1, 2))),
-                    (((True,), (1, 1), (1, 1)), NU36)):
+                    (((True,), (1, 1), (1, 1)), nu5),
+                    (LAM36, ((3,), (2, True)))):
         with pytest.raises(ValueError, match="not a partition"):
-            enumerate_good_labellings(layer, lam, nu)
+            good_labellings(3, lam, nu)
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        good_labellings(0, ((1,),), ((1,),))
 
 
 def _one_partition_each(sizes):
@@ -98,10 +98,10 @@ def test_labellings_match_the_filling_reference():
                 for nu_sizes in compositions(n, (n,) * len(layer.lower)):
                     want = good_labellings_by_fillings(layer, lam_sizes,
                                                        nu_sizes)
-                    got = enumerate_good_labellings(
-                        layer, _one_partition_each(lam_sizes),
-                        _one_partition_each(nu_sizes))
-                    assert got == want, (m, lam_sizes, nu_sizes)
+                    got = good_labellings(m, _one_partition_each(lam_sizes),
+                                          _one_partition_each(nu_sizes))
+                    assert [labels for labels, _ in got] == want, (
+                        m, lam_sizes, nu_sizes)
                     pairs += 1
                     if want:
                         groups.append((nu_sizes, tuple(
@@ -114,25 +114,9 @@ def test_labellings_match_the_filling_reference():
     assert pairs == 1666
 
 
-def test_labelling_coefficient_checks_before_the_cache():
-    # True == 1 and both hash alike, so a cached answer for the int
-    # labels must not be returned for the bool ones
-    layer = young_layer(3)
-    labels = ((2,), (1,), (1,), (1, 1))
-    assert labelling_coefficient(layer, LAM36, NU36, labels) == 1
-    for bad in (((2,), (True,), (True,), (True, True)),
-                ((2,), (1,), (1,), (1, 2)),
-                ((2,), (1,), (1,))):
-        with pytest.raises(ValueError):
-            labelling_coefficient(layer, LAM36, NU36, bad)
-    with pytest.raises(ValueError, match="not a partition"):
-        labelling_coefficient(layer, ((2,), (1, 1), (True, True)), NU36,
-                              labels)
-
-
 def test_labelling_sum_matches_the_per_nu_definition():
     # branch_first groups the sum by the size composition of nu; here it
-    # is summed per nu through the exported, checked functions
+    # is summed per nu through the exported, checked function
     cases = []
     for m, max_n in ((1, 4), (2, 4), (3, 4), (4, 3)):
         layer = young_layer(m)
@@ -140,9 +124,8 @@ def test_labelling_sum_matches_the_per_nu_definition():
             for lam in multipartitions(n, len(layer.upper)):
                 expected = {}
                 for nu in multipartitions(n, len(layer.lower)):
-                    total = sum(labelling_coefficient(layer, lam, nu, labels)
-                                for labels in enumerate_good_labellings(
-                                    layer, lam, nu))
+                    total = sum(coeff for _, coeff in good_labellings(
+                        m, lam, nu))
                     if total:
                         expected[nu] = total
                 cases.append((m, lam, expected))
@@ -165,19 +148,19 @@ def test_labelling_sum_matches_the_per_nu_definition():
 def test_good_labellings_are_a_fresh_list():
     # the labelling sum reads memoised labellings; a caller that changes
     # the exported function's list must not change a later answer
-    layer = young_layer(3)
     same_sizes = ((1, 1), (2,), (2,))
     before = [list(branch_first(3, lam, method="labellings").items())
               for lam in (LAM36, same_sizes)]
-    labellings = enumerate_good_labellings(layer, LAM36, NU36)
-    assert isinstance(labellings, list) and len(labellings) == 4
-    labellings[0] = labellings[1]
-    labellings.append(labellings[1])
-    enumerate_good_labellings(layer, same_sizes, NU36).clear()
+    pairs = good_labellings(3, LAM36, NU36)
+    assert isinstance(pairs, list) and len(pairs) == 4
+    first = list(pairs)
+    pairs[0] = pairs[1]
+    pairs.append(pairs[1])
+    good_labellings(3, same_sizes, NU36).clear()
     after = [list(branch_first(3, lam, method="labellings").items())
              for lam in (LAM36, same_sizes)]
     assert after == before
-    assert len(enumerate_good_labellings(layer, LAM36, NU36)) == 4
+    assert good_labellings(3, LAM36, NU36) == first
 
 
 def test_filtration_sum_matches_the_plain_loop():
@@ -205,32 +188,18 @@ def test_filtration_sum_matches_the_plain_loop():
 
 def test_filtration_without_nonempty_rows():
     # every row empty: the one filling is all (), so nu is all ()
-    assert filtration_multiplicities(((1, 0), (1, 1)), ((), ())) == {
+    assert _filtration_multiplicities(((1, 0), (1, 1)), ((), ())) == {
         ((), ()): 1}
-    assert filtration_multiplicities(((), ()), ((), ())) == {(): 1}
-    assert filtration_multiplicities((), ()) == {(): 1}
+    assert _filtration_multiplicities(((), ()), ((), ())) == {(): 1}
+    assert _filtration_multiplicities((), ()) == {(): 1}
     # a nonempty row with no support has no filling
-    assert filtration_multiplicities(((0, 0), (1, 1)), ((1,), ())) == {}
+    assert _filtration_multiplicities(((0, 0), (1, 1)), ((1,), ())) == {}
 
 
 def test_filtration_identity_matrix():
     eye = ((1, 0), (0, 1))
     for eta in [((2,), (1,)), ((1, 1), ()), ((3, 1), (2, 2))]:
-        assert filtration_multiplicities(eye, eta) == {eta: 1}
-
-
-def test_filtration_eta_components_must_be_partitions():
-    eye = ((1, 0), (0, 1))
-    for eta in [((1, 2), (1,)), ((2,), (0,)), ((True,), ())]:
-        with pytest.raises(ValueError, match="not a partition"):
-            filtration_multiplicities(eye, eta)
-
-
-def test_filtration_matrix_entries_must_be_zero_or_one():
-    for A in (((2,),), ((1, -1),), ((1, 0), (0, 2))):
-        eta = ((1,),) * len(A)
-        with pytest.raises(ValueError, match="0 or 1"):
-            filtration_multiplicities(A, eta)
+        assert _filtration_multiplicities(eye, eta) == {eta: 1}
 
 
 def test_branch_first_worked_example():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wreathbranch
-from helpers import branch_human, branch_payload, concat_parts
+from helpers import (branch_human, branch_payload, concat_parts,
+                     labellings_payload)
 from wreathbranch import branching, cli, verify
 from wreathbranch.shapes import enumerate_partitions, multipartitions
 
@@ -465,6 +466,27 @@ def test_branch_output_matches_the_generic_encoding():
             branch_human(expected), 0), argv
         cases += 1
     assert cases == 830
+
+
+def test_labellings_output_matches_the_reference():
+    # every (lambda, nu) with m <= 4 and n <= 3; the reference takes its
+    # labellings from fillings and its coefficients from lr_multi
+    parser = cli.build_parser()
+    cases = 0
+    for m in range(1, 5):
+        layer = branching.young_layer(m)
+        for n in range(4):
+            for lam in multipartitions(n, len(layer.upper)):
+                for nu in multipartitions(n, len(layer.lower)):
+                    expected = labellings_payload(layer, lam, nu)
+                    argv = ["labellings", "-m", str(m), "--lambda",
+                            json.dumps(lam), "--nu", json.dumps(nu)]
+                    assert cli._run(parser.parse_args(argv + ["--json"])) == (
+                        json.dumps(expected, sort_keys=True), 0), argv
+                    assert cli._run(parser.parse_args(argv)) == (
+                        cli._HUMAN["labellings"](expected), 0), argv
+                    cases += 1
+    assert cases == 1956
 
 
 _PARTITION = st.lists(st.one_of(st.integers(1, 3), st.integers(1, 300)),
