@@ -3,19 +3,16 @@
 from .branching import (YoungLayer, branch_first, branch_second,
                         good_labellings, wreath_specht_dimension, young_layer)
 from .lr import lr_coefficient, lr_multi
-from .perms import descents, double_coset_reps, length, rho_cosets
+from .perms import double_coset_reps, rho_cosets
 from .shapes import (enumerate_partitions, multipartitions, removable_boxes,
                      size_composition, specht_dimension)
-from .tableaux import (enumerate_skew_ssyt, is_lattice_word,
-                       reverse_reading_word)
 
 __all__ = [
     "YoungLayer", "branch_first", "branch_second", "good_labellings",
     "wreath_specht_dimension", "young_layer",
     "lr_coefficient", "lr_multi",
-    "descents", "double_coset_reps", "length", "rho_cosets",
+    "double_coset_reps", "rho_cosets",
     "enumerate_partitions", "multipartitions",
     "removable_boxes", "size_composition", "specht_dimension",
-    "enumerate_skew_ssyt", "is_lattice_word", "reverse_reading_word",
 ]
 __version__ = "0.1.0"

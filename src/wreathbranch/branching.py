@@ -35,10 +35,19 @@ class YoungLayer(NamedTuple):
     adjacency: tuple[tuple[int, ...], ...]
 
 
-@cache
-def young_layer(m: int) -> YoungLayer:
+def _check_m(m) -> None:
+    """ValueError unless m is an int (not a bool) of at least 1."""
+    if type(m) is not int:
+        raise ValueError(f"m must be an int, not {type(m).__name__}")
     if m < 1:
         raise ValueError("m must be at least 1")
+
+
+# The check runs inside the cached body: an error is never cached, and
+# the cache keys True and 2.0 apart from 1 and 2.
+@cache
+def young_layer(m: int) -> YoungLayer:
+    _check_m(m)
     upper = enumerate_partitions(m)
     lower = enumerate_partitions(m - 1)
     index = {p: j for j, p in enumerate(lower)}
@@ -242,8 +251,7 @@ def _column_expansion(column) -> tuple:
 
 def _check_lambda(m: int, lam) -> Multipartition:
     """`lam` as one partition per partition of m (m >= 1), or ValueError."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _check_m(m)
     lam = tuple(lam)
     components = len(enumerate_partitions(m))
     if len(lam) != components:

@@ -1,12 +1,16 @@
 """Independent oracles and exhaustive self-check suites.
 
 The oracles use the enumerators of ``shapes`` and the permutation
-primitives of ``perms``, but never call ``lr``, ``tableaux`` or
-``branching``: Schur products from Kostka numbers by the Pieri rule, and
-double cosets found by orbit closure on the right cosets of S_n.
-Each suite compares an independent value with the production code over
-a finite family and returns ``{"checked": count, "failures": [message,
-...]}``.  The CLI and the acceptance tests both run these.
+helpers below, but never call ``lr``, ``tableaux`` or ``branching``:
+Schur products from Kostka numbers by the Pieri rule, and double cosets
+found by orbit closure on the right cosets of S_n.  Each suite compares
+an independent value with the production code, which the suites do
+call, over a finite family and returns ``{"checked": count,
+"failures": [message, ...]}``.  The CLI and the acceptance tests both
+run these.
+
+Permutations are tuples of images in the right-action convention of
+``perms``: ``compose(a, b)`` applies a, then b.
 """
 
 from __future__ import annotations
@@ -15,13 +19,12 @@ import itertools
 from functools import cache, partial
 from math import factorial
 from operator import itemgetter, mul
+from typing import Iterator
 
 from .branching import (_wreath_specht_dimension, branch_first,
                         branch_second, wreath_specht_dimension)
 from .lr import _lr_coefficient
-from .perms import (Perm, all_perms, compose, descents, double_coset_reps,
-                    from_cycles, inverse, length, rho_cosets,
-                    standard_filling, to_cycles)
+from .perms import Perm, double_coset_reps, rho_cosets, to_cycles
 from .shapes import (Composition, Partition, compositions,
                      enumerate_partitions, multipartitions)
 
@@ -120,6 +123,44 @@ def schur_product_oracle(alpha: Partition, beta: Partition) -> dict:
     return expansion
 
 
+def all_perms(n: int) -> Iterator[Perm]:
+    """S_n in lexicographic order."""
+    return itertools.permutations(range(1, n + 1))
+
+
+def _transposition(j: int, n: int) -> Perm:
+    """The adjacent transposition (j, j+1) in S_n."""
+    return (*range(1, j), j + 1, j, *range(j + 2, n + 1))
+
+
+def compose(a: Perm, b: Perm) -> Perm:
+    """The product ab: apply a first, then b."""
+    return tuple(b[a[i] - 1] for i in range(len(a)))
+
+
+def inverse(p: Perm) -> Perm:
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v - 1] = i + 1
+    return tuple(inv)
+
+
+def length(p: Perm) -> int:
+    """Number of inversions: pairs i < j with (i)p > (j)p."""
+    return sum(1 for i in range(len(p)) for j in range(i + 1, len(p))
+               if p[i] > p[j])
+
+
+def descents(p: Perm) -> list[int]:
+    """All j with (j)p > (j+1)p."""
+    return [j + 1 for j in range(len(p) - 1) if p[j] > p[j + 1]]
+
+
+def standard_filling(gamma: Composition) -> tuple[int, ...]:
+    """The filling with gamma_1 1s, then gamma_2 2s, and so on."""
+    return tuple(v + 1 for v, count in enumerate(gamma) for _ in range(count))
+
+
 def young_subgroup(gamma: Composition) -> tuple[Perm, ...]:
     """All elements of the Young subgroup S_gamma inside S_n, n = |gamma|."""
     blocks = []
@@ -141,7 +182,7 @@ def _indexed_symmetric_group(n: int):
     """
     perms = tuple(all_perms(n))
     index = {p: i for i, p in enumerate(perms)}
-    gens = [from_cycles([[j, j + 1]], n) for j in range(1, n)]
+    gens = [_transposition(j, n) for j in range(1, n)]
     left = tuple(tuple(index[compose(g, p)] for p in perms) for g in gens)
     right = tuple(tuple(index[compose(p, g)] for p in perms) for g in gens)
     return perms, index, left, right
@@ -378,7 +419,7 @@ def verify_length_lemma(max_n: int = 6) -> dict:
     for n in range(1, max_n + 1):
         for sigma in all_perms(n):
             for j in descents(inverse(sigma)):
-                t = from_cycles([[j, j + 1]], n)
+                t = _transposition(j, n)
                 checked += 1
                 if length(compose(sigma, t)) != length(sigma) - 1:
                     failures.append(f"length lemma fails for sigma={sigma} "

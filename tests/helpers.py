@@ -214,7 +214,7 @@ def act_on_tableau(rows, sigma):
     """Move the entry in box i to box (i)sigma, boxes numbered row-major.
 
     This is a right action: acting by sigma then pi equals acting by
-    ``wreathbranch.perms.compose(sigma, pi)``.
+    ``wreathbranch.verify.compose(sigma, pi)``.
     """
     flat = [e for row in rows for e in row]
     if len(flat) != len(sigma):

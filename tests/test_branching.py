@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +11,10 @@ from wreathbranch.branching import (_filtration_multiplicities, _incidence,
                                     branch_first, branch_second,
                                     good_labellings, wreath_specht_dimension,
                                     young_layer)
-from wreathbranch.shapes import (compositions, enumerate_partitions,
-                                 multipartitions, removable_boxes,
-                                 size_composition, specht_dimension)
+from wreathbranch.shapes import (compositions, conjugate,
+                                 enumerate_partitions, multipartitions,
+                                 removable_boxes, size_composition,
+                                 specht_dimension)
 from wreathbranch.verify import verify_dimensions
 
 LAM36 = ((2,), (1, 1), (1, 1))
@@ -269,6 +272,28 @@ def test_m_below_one_is_rejected(m):
             call()
 
 
+@pytest.mark.parametrize("m", [2.0, 1.5, True, "2", None])
+def test_m_must_be_an_int(m):
+    lam = ((1,), ())
+    for call in (lambda: branch_first(m, lam),
+                 lambda: branch_first(m, lam, method="labellings"),
+                 lambda: branch_second(m, lam),
+                 lambda: wreath_specht_dimension(m, lam),
+                 lambda: good_labellings(m, lam, ((1,),)),
+                 lambda: young_layer(m)):
+        with pytest.raises(ValueError, match="m must be an int"):
+            call()
+
+
+def test_young_layer_caches_no_layer_for_a_bad_m():
+    # True and 2.0 compare equal to 1 and 2, whose layers are cached
+    # first; they must still raise, not return or cache a layer
+    assert young_layer(1).m == 1 and young_layer(2).m == 2
+    for m in (True, 2.0):
+        with pytest.raises(ValueError, match="m must be an int"):
+            young_layer(m)
+
+
 def test_dimension_identities_small():
     assert verify_dimensions("first", 3, 3)["failures"] == []
     assert verify_dimensions("second", 2, 4)["failures"] == []
@@ -294,3 +319,56 @@ def test_multiplicity_maps_never_store_zero():
         for lam in multipartitions(3, len(enumerate_partitions(m))):
             assert all(v > 0 for v in branch_first(m, lam).values())
             assert all(v > 0 for v in branch_second(m, lam).values())
+
+
+def test_first_lower_node_with_four_edges():
+    # at m = 7 the lower node (3,2,1) is the first with four upper
+    # neighbours; a lambda of n = 4 on those nodes can fill all four
+    # entries of its column and give a 4-label lower key
+    layer = young_layer(7)
+    j = layer.lower.index((3, 2, 1))
+    above = [i for i, k in layer.edges if k == j]
+    assert [layer.upper[i] for i in above] == [
+        (4, 2, 1), (3, 3, 1), (3, 2, 2), (3, 2, 1, 1)]
+    checked = 0
+    for parts in multipartitions(4, len(above)):
+        lam = [()] * len(layer.upper)
+        for i, part in zip(above, parts):
+            lam[i] = part
+        lam = tuple(lam)
+        mults = branch_first(7, lam)
+        assert branch_first(7, lam, method="labellings") == mults
+        assert sum(c * wreath_specht_dimension(6, nu)
+                   for nu, c in mults.items()) == \
+            wreath_specht_dimension(7, lam)
+        checked += 1
+    assert checked == 105
+
+
+def _sign_twist(m, lam):
+    """Move the component at mu to the index of mu' and conjugate it."""
+    shapes = enumerate_partitions(m)
+    index = {mu: i for i, mu in enumerate(shapes)}
+    out = [()] * len(shapes)
+    for mu, part in zip(shapes, lam):
+        out[index[conjugate(mu)]] = conjugate(part)
+    return tuple(out)
+
+
+def _cheapest_request_per_stratum():
+    """(m, lambda) from cost class 0 of each first-rule benchmark stratum."""
+    inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.json"
+    classes = json.loads(inputs.read_text())["classes"]
+    return [pytest.param(m, tuple(map(tuple, costed[0][0])),
+                         id=f"{workload}-{k}")
+            for workload in ("first_rule_deep", "first_rule_wide")
+            for k, (m, costed) in enumerate(classes[workload])]
+
+
+@pytest.mark.parametrize("m, lam", _cheapest_request_per_stratum())
+def test_branch_first_commutes_with_the_sign_twist(m, lam):
+    # tensoring with the sign character maps the Specht module of lam
+    # to that of its twist, at both m and m - 1
+    twisted = {_sign_twist(m - 1, nu): c
+               for nu, c in branch_first(m, lam).items()}
+    assert branch_first(m, _sign_twist(m, lam)) == twisted

@@ -5,6 +5,9 @@ import sys
 from pathlib import Path
 
 import wreathbranch
+from wreathbranch import tableaux
+
+PACKAGE = Path(wreathbranch.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -14,19 +17,30 @@ def test_every_exported_name_resolves():
 
 def test_oracles_are_not_exported():
     for name in ("schur_product_oracle", "brute_force_double_cosets",
-                 "young_subgroup"):
+                 "young_subgroup", "length", "descents", "compose",
+                 "inverse", "all_perms", "from_cycles", "identity",
+                 "standard_filling"):
         assert name not in wreathbranch.__all__
         assert not hasattr(wreathbranch, name)
 
 
-def test_every_exported_name_has_a_caller_in_the_package():
-    # a name only the tests use belongs in the tests, not in __all__; a
-    # reference is a name, an attribute or an import in the code, so a
-    # docstring or comment that mentions the name does not count
-    package = Path(wreathbranch.__file__).resolve().parent
+def test_lr_internals_are_not_exported():
+    for name in ("enumerate_skew_ssyt", "is_lattice_word",
+                 "reverse_reading_word"):
+        assert name not in wreathbranch.__all__
+        assert not hasattr(wreathbranch, name)
+        assert hasattr(tableaux, name)
+
+
+def referenced_names(skip) -> set:
+    """Names referenced in the package's modules, except those in `skip`.
+
+    A reference is a name, an attribute or an import in the code, so a
+    docstring or comment that mentions the name does not count.
+    """
     referenced = set()
-    for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in skip:
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
@@ -35,8 +49,24 @@ def test_every_exported_name_has_a_caller_in_the_package():
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
+    return referenced
+
+
+def test_every_exported_name_has_a_caller_in_the_package():
+    # a name only the tests use belongs in the tests, not in __all__
+    referenced = referenced_names({"__init__.py"})
     assert set(wreathbranch.__all__) <= referenced, (
         sorted(set(wreathbranch.__all__) - referenced))
+
+
+def test_every_perms_function_has_a_caller_besides_the_oracles():
+    # a permutation helper only the oracles or the tests use belongs in
+    # verify.py or the tests; exporting it makes no caller
+    tree = ast.parse((PACKAGE / "perms.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    referenced = referenced_names({"__init__.py", "verify.py"})
+    assert defined <= referenced, sorted(defined - referenced)
 
 
 def run_optimized(code: str) -> subprocess.CompletedProcess:

@@ -5,23 +5,22 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from wreathbranch.perms import (all_perms, compose, descents,
-                                double_coset_reps, from_cycles, identity,
-                                inverse, length, rho_cosets, standard_filling,
-                                to_cycles)
+from wreathbranch.perms import double_coset_reps, rho_cosets, to_cycles
 from wreathbranch import verify
 from wreathbranch.verify import (_indexed_symmetric_group, _right_cosets,
-                                 brute_force_double_cosets,
-                                 positive_compositions, young_subgroup)
+                                 _transposition, all_perms,
+                                 brute_force_double_cosets, compose, descents,
+                                 inverse, length, positive_compositions,
+                                 standard_filling, young_subgroup)
 
 from helpers import (act_on_tableau, parse_cycles, reshape,
                      set_orbit_double_cosets, standard_tableau)
 
 
 def test_length_and_descents():
-    assert length(identity(5)) == 0
-    assert descents(identity(5)) == []
-    assert length(from_cycles([[3, 4]], 6)) == 1
+    assert length(parse_cycles("e", 5)) == 0
+    assert descents(parse_cycles("e", 5)) == []
+    assert length(parse_cycles("(3,4)", 6)) == 1
     assert length((4, 3, 2, 1)) == 6
     assert descents((1, 2)) == []
     assert descents((2, 1)) == [1]
@@ -32,7 +31,7 @@ def test_cycle_roundtrip():
     for n in range(1, 6):
         for p in all_perms(n):
             assert parse_cycles(to_cycles(p), n) == p
-    assert to_cycles(identity(4)) == "e"
+    assert to_cycles((1, 2, 3, 4)) == "e"
     assert parse_cycles("e", 3) == (1, 2, 3)
 
 
@@ -52,9 +51,9 @@ def test_act_on_tableau_worked_example():
 
 def test_act_identity_and_degree_mismatch():
     tau = ((1, 2), (1,))
-    assert act_on_tableau(tau, identity(3)) == tau
+    assert act_on_tableau(tau, (1, 2, 3)) == tau
     with pytest.raises(ValueError):
-        act_on_tableau(tau, identity(4))
+        act_on_tableau(tau, (1, 2, 3, 4))
 
 
 @given(st.permutations(list(range(1, 8))), st.permutations(list(range(1, 8))))
@@ -126,10 +125,27 @@ def test_rho_cosets_worked_example():
 
 
 def test_rho_cosets_single_component():
-    assert rho_cosets((4,)) == [(1, identity(4))]
-    assert rho_cosets((0, 3, 0)) == [(2, identity(3))]
+    assert rho_cosets((4,)) == [(1, (1, 2, 3, 4))]
+    assert rho_cosets((0, 3, 0)) == [(2, (1, 2, 3))]
     with pytest.raises(ValueError):
         rho_cosets((0, 0))
+
+
+def test_rho_cosets_are_the_cycles_they_name():
+    # rep i is the cycle (b, n, n-1, ..., b+1), b the partial sum to i;
+    # at b = n that is the 1-cycle (n), the identity
+    for n in range(1, 8):
+        for sizes in positive_compositions(n):
+            cycles = ["(" + ",".join(map(str, (b, *range(n, b, -1)))) + ")"
+                      for b in itertools.accumulate(sizes)]
+            assert [p for _, p in rho_cosets(sizes)] == \
+                [parse_cycles(c, n) for c in cycles]
+
+
+def test_transpositions_match_the_cycle_parser():
+    for n in range(2, 8):
+        for j in range(1, n):
+            assert _transposition(j, n) == parse_cycles(f"({j},{j + 1})", n)
 
 
 def test_compositions_are_validated():
@@ -262,7 +278,7 @@ def _cross_block_transposition(gamma):
     """A transposition across the first two blocks of gamma, or None."""
     if len(gamma) < 2:
         return None
-    return from_cycles([[gamma[0], gamma[0] + 1]], sum(gamma))
+    return parse_cycles(f"({gamma[0]},{gamma[0] + 1})", sum(gamma))
 
 
 def _with_cross_block_transposition(gamma):
