@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 from .lr import _lr_multi, _lr_multi_sorted
 from .shapes import (Multipartition, Partition, _removable_boxes,
-                     _specht_dimension, check_partition, compositions,
-                     enumerate_partitions, removable_boxes,
+                     _specht_dimension, check_count, check_partition,
+                     compositions, enumerate_partitions, removable_boxes,
                      size_composition)
 
 # A multipartition matrix is a tuple of rows; each row holds one
@@ -35,19 +35,9 @@ class YoungLayer(NamedTuple):
     adjacency: tuple[tuple[int, ...], ...]
 
 
-def _check_m(m) -> None:
-    """ValueError unless m is an int (not a bool) of at least 1."""
-    if type(m) is not int:
-        raise ValueError(f"m must be an int, not {type(m).__name__}")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-
-
-# The check runs inside the cached body: an error is never cached, and
-# the cache keys True and 2.0 apart from 1 and 2.
 @cache
 def young_layer(m: int) -> YoungLayer:
-    _check_m(m)
+    check_count(m, "m", 1)
     upper = enumerate_partitions(m)
     lower = enumerate_partitions(m - 1)
     index = {p: j for j, p in enumerate(lower)}
@@ -251,7 +241,7 @@ def _column_expansion(column) -> tuple:
 
 def _check_lambda(m: int, lam) -> Multipartition:
     """`lam` as one partition per partition of m (m >= 1), or ValueError."""
-    _check_m(m)
+    check_count(m, "m", 1)
     lam = tuple(lam)
     components = len(enumerate_partitions(m))
     if len(lam) != components:

@@ -1,14 +1,17 @@
 """Littlewood-Richardson coefficients.
 
-``lr_coefficient`` counts lattice-word semistandard skew tableaux
-directly.  ``lr_multi`` extends it to a tuple of partitions by peeling
-off the first one and recursing.  ``verify.schur_product_oracle``
+``lr_coefficient`` is 0 unless alpha and beta fit in lam and
+alpha u beta <= lam <= alpha + beta in dominance order (Fulton, *Young
+Tableaux*, section 5); otherwise it counts lattice-word semistandard
+skew tableaux.  ``lr_multi`` extends it to a tuple of partitions by
+peeling off the first one and recursing.  ``verify.schur_product_oracle``
 cross-checks the rule by an independent route.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import accumulate, zip_longest
 
 from .shapes import Partition, check_partition, enumerate_partitions
 from .tableaux import (enumerate_skew_ssyt, is_lattice_word,
@@ -45,12 +48,25 @@ def _lr_multi(lam: Partition, parts) -> int:
 
 @cache
 def _lr_coefficient(lam: Partition, alpha: Partition, beta: Partition) -> int:
-    if not skew_fits(lam, alpha):
-        return 0
-    if sum(beta) != sum(lam) - sum(alpha):
+    if sum(beta) != sum(lam) - sum(alpha) or not _in_window(lam, alpha, beta):
         return 0
     return sum(1 for t in enumerate_skew_ssyt(lam, alpha, beta)
                if is_lattice_word(reverse_reading_word(t)))
+
+
+def _in_window(lam: Partition, alpha: Partition, beta: Partition) -> bool:
+    """alpha and beta fit in lam, and alpha u beta <= lam <= alpha + beta."""
+    added = tuple(a + b for a, b in zip_longest(alpha, beta, fillvalue=0))
+    union = sorted(alpha + beta, reverse=True)
+    return (skew_fits(lam, alpha) and skew_fits(lam, beta)
+            and _dominated(lam, added, sum(lam))
+            and _dominated(union, lam, sum(lam)))
+
+
+def _dominated(small, big, n: int) -> bool:
+    """small <= big in dominance order; partial sums past the end are n."""
+    return all(s <= b for s, b in zip_longest(accumulate(small),
+                                              accumulate(big), fillvalue=n))
 
 
 @cache

@@ -47,15 +47,26 @@ def check_composition(parts) -> Composition:
     return parts
 
 
+def check_count(value, name: str, least: int = 0) -> None:
+    """ValueError unless `value` is an int (not a bool) of at least `least`.
+
+    A cached function calls it in its body, where the cache keys True
+    and 2.0 apart from 1 and 2 and never holds an error.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 @cache
 def enumerate_partitions(m: int) -> tuple[Partition, ...]:
     """All partitions of m in strictly descending lexicographic order.
 
     The first entry is (m) and the last is (1,...,1); for m = 0 the
-    result is ((),).
+    result is ((),).  ValueError unless m is an int >= 0.
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    check_count(m, "m")
 
     def gen(remaining: int, max_part: int):
         if remaining == 0:
@@ -172,11 +183,13 @@ def fillings(row_sums, col_sums) -> list[tuple[int, ...]]:
 
 
 def multipartitions(n: int, components: int):
-    """Yield all multipartitions of n with the given number of components.
+    """An iterator over the multipartitions of n with `components` parts.
 
     Components of size 0 are the empty partition.  The order is
-    deterministic: by size composition, then componentwise.
+    deterministic: by size composition, then componentwise.  ValueError,
+    at the call, unless n and components are ints >= 0.
     """
-    for sizes in compositions(n, (n,) * components):
-        pools = [enumerate_partitions(s) for s in sizes]
-        yield from itertools.product(*pools)
+    check_count(n, "n")
+    check_count(components, "components")
+    return (mp for sizes in compositions(n, (n,) * components)
+            for mp in itertools.product(*map(enumerate_partitions, sizes)))

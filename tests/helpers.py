@@ -12,8 +12,31 @@ import itertools
 import json
 import re
 from collections import Counter
+from pathlib import Path
 
 from wreathbranch import enumerate_partitions, lr_multi
+
+
+BENCH_INPUTS = (Path(__file__).resolve().parents[1]
+                / "perfbench" / "inputs.json")
+
+
+def cheapest_first_rule_requests(workloads) -> list:
+    """(id, m, lambda, stdout digest) for each first-rule benchmark stratum.
+
+    lambda is the first of the stratum's cost class 0, and the digest is
+    the SHA-256 of its `branch-first --json` stdout, both as recorded in
+    the benchmark's inputs file.
+    """
+    inputs = json.loads(BENCH_INPUTS.read_text())
+    out = []
+    for workload in workloads:
+        for k, (m, costed) in enumerate(inputs["classes"][workload]):
+            lam = tuple(map(tuple, costed[0][0]))
+            key = f"{m}:" + ",".join(json.dumps(p, separators=(",", ":"))
+                                     for p in costed[0][0])
+            out.append((f"{workload}-{k}", m, lam, inputs["digests"][key]))
+    return out
 
 
 def concat_parts(components) -> tuple[int, ...]:

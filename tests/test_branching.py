@@ -1,10 +1,9 @@
-import json
 import random
-from pathlib import Path
 
 import pytest
 
-from helpers import (filtration_multiplicities_by_loop,
+from helpers import (cheapest_first_rule_requests,
+                     filtration_multiplicities_by_loop,
                      good_labellings_by_fillings)
 from wreathbranch.branching import (_filtration_multiplicities, _incidence,
                                     _labelling_groups, _node_keys,
@@ -355,17 +354,10 @@ def _sign_twist(m, lam):
     return tuple(out)
 
 
-def _cheapest_request_per_stratum():
-    """(m, lambda) from cost class 0 of each first-rule benchmark stratum."""
-    inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.json"
-    classes = json.loads(inputs.read_text())["classes"]
-    return [pytest.param(m, tuple(map(tuple, costed[0][0])),
-                         id=f"{workload}-{k}")
-            for workload in ("first_rule_deep", "first_rule_wide")
-            for k, (m, costed) in enumerate(classes[workload])]
-
-
-@pytest.mark.parametrize("m, lam", _cheapest_request_per_stratum())
+@pytest.mark.parametrize("m, lam", [
+    pytest.param(m, lam, id=name)
+    for name, m, lam, _ in cheapest_first_rule_requests(
+        ("first_rule_deep", "first_rule_wide"))])
 def test_branch_first_commutes_with_the_sign_twist(m, lam):
     # tensoring with the sign character maps the Specht module of lam
     # to that of its twist, at both m and m - 1

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wreathbranch
-from helpers import (branch_human, branch_payload, concat_parts,
+from helpers import (branch_human, branch_payload,
+                     cheapest_first_rule_requests, concat_parts,
                      labellings_payload)
 from wreathbranch import branching, cli, verify
 from wreathbranch.shapes import enumerate_partitions, multipartitions
@@ -387,6 +388,19 @@ def test_pinned_stdout_digest(capsys, argv):
     assert code == 0
     data = out.encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == PINNED_DIGEST[argv]
+
+
+@pytest.mark.parametrize("m, lam, digest", [
+    pytest.param(m, lam, digest, id=name)
+    for name, m, lam, digest in cheapest_first_rule_requests(
+        ("first_rule_deep",))])
+def test_deep_request_stdout_digest(capsys, m, lam, digest):
+    # one request per deep benchmark stratum: the LR kernel at the sizes
+    # users ask for, against the digest the benchmark recorded
+    code, out, _ = run(capsys, "branch-first", "-m", str(m), "--lambda",
+                       json.dumps([list(p) for p in lam]), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,13 +1,22 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from wreathbranch import lr
 from wreathbranch.lr import lr_coefficient, lr_multi
 from wreathbranch.shapes import enumerate_partitions, specht_dimension
+from wreathbranch.tableaux import (is_lattice_word, reverse_reading_word,
+                                   skew_fits)
 from wreathbranch.verify import (SCHUR_ORACLE_BOUND, _kostka,
-                                 schur_product_oracle)
+                                 schur_product_oracle, verify_lr_oracle)
 
-from helpers import full_product_schur_expansion, schur_monomials
+from helpers import (full_product_schur_expansion, naive_skew_ssyt,
+                     schur_monomials)
+
+# naive_skew_ssyt tries len(beta) ** |beta| raw fillings; the window
+# tests draw only the beta that keep this small
+NAIVE_FILLINGS = 1024
 
 
 def test_lr_coefficient_examples():
@@ -156,3 +165,46 @@ def test_lr_symmetry_small():
                     for lam in enumerate_partitions(total):
                         assert (lr_coefficient(lam, alpha, beta)
                                 == lr_coefficient(lam, beta, alpha))
+
+
+@pytest.mark.parametrize("lam, alpha, beta", [
+    ((3, 1, 1), (2, 2), (1,)),  # alpha does not fit in lam
+    ((3, 1, 1), (1,), (2, 2)),  # nor beta here
+    ((3, 1), (1, 1), (1, 1)),   # alpha + beta does not dominate lam
+    ((3, 2, 2), (3, 1), (3,)),  # lam does not dominate (3, 3, 1), though
+                                # it dominates the unsorted (3, 1, 3)
+])
+def test_each_window_condition_rejects_on_its_own(lam, alpha, beta):
+    assert not lr._in_window(lam, alpha, beta)
+    assert lr_coefficient(lam, alpha, beta) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_triples_outside_the_window_have_no_lattice_tableau(data):
+    n = data.draw(st.integers(0, 12), label="|lam|")
+    lam = data.draw(st.sampled_from(enumerate_partitions(n)), label="lam")
+    b = data.draw(st.integers(0, n), label="|beta|")
+    # alpha inside lam: an alpha outside gives no skew shape to fill
+    alpha = data.draw(st.sampled_from(
+        [a for a in enumerate_partitions(n - b) if skew_fits(lam, a)]),
+        label="alpha")
+    beta = data.draw(st.sampled_from(
+        [p for p in enumerate_partitions(b)
+         if len(p) ** b <= NAIVE_FILLINGS]), label="beta")
+    assume(not lr._in_window(lam, alpha, beta))
+    assert not any(is_lattice_word(reverse_reading_word(t))
+                   for t in naive_skew_ssyt(lam, alpha, beta))
+
+
+def test_lr_oracle_reports_a_window_that_drops_a_coefficient(monkeypatch):
+    window = lr._in_window
+    dropped = ((2, 1), (1,), (1, 1))
+    monkeypatch.setattr(lr, "_in_window", lambda *triple: (
+        triple != dropped and window(*triple)))
+    lr._lr_coefficient.cache_clear()
+    try:
+        report = verify_lr_oracle(3)
+    finally:
+        lr._lr_coefficient.cache_clear()
+    assert report["failures"] == ["c^(2, 1)_((1,),(1, 1)) = 0, oracle says 1"]

@@ -37,6 +37,25 @@ def test_partition_count_and_lex_order(m):
         assert parts[-1] == (1,) * m
 
 
+@pytest.mark.parametrize("value, message", [
+    (2.0, "must be an int, not float"),
+    (True, "must be an int, not bool"),
+    (-1, "must be at least 0"),
+], ids=["float", "bool", "negative"])
+@pytest.mark.parametrize("call", [
+    enumerate_partitions,
+    lambda value: multipartitions(value, 2),
+    lambda value: multipartitions(2, value),
+], ids=["enumerate_partitions", "multipartitions-n",
+        "multipartitions-components"])
+def test_sizes_must_be_ints_of_at_least_zero(call, value, message):
+    # an answer cached for 1 must not be returned for True, though
+    # True == 1 and both hash alike
+    enumerate_partitions(1)
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
 def test_removable_boxes():
     assert removable_boxes((2, 1)) == [(1, 1), (2,)]
     assert removable_boxes((3,)) == [(2,)]
