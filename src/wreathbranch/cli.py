@@ -80,7 +80,7 @@ def _ordered(mults, n: int) -> list:
                                    reverse=True)]
 
 
-def _mult_text(m: int, n: int, rule: str, lam, mults, as_json: bool) -> str:
+def _mult_text(m: int, rule: str, lam, mults, as_json: bool) -> str:
     """The stdout of a branching answer, equal to the generic rendering.
 
     The generic rendering would be ``json.dumps(payload, sort_keys=True)``
@@ -89,6 +89,7 @@ def _mult_text(m: int, n: int, rule: str, lam, mults, as_json: bool) -> str:
     `_ordered` order.  Both are spliced here from one JSON string per
     distinct partition, as answers run to thousands of entries.
     """
+    n = sum(map(sum, lam))
     part_text = {p: json.dumps(p)
                  for p in set(chain.from_iterable(mults))}.__getitem__
     ordered = _ordered(mults, n)
@@ -104,28 +105,67 @@ def _mult_text(m: int, n: int, rule: str, lam, mults, as_json: bool) -> str:
     return "\n".join(lines)
 
 
-def _branch(args) -> tuple[str, int]:
-    """The stdout of branch-first or branch-second, and its exit code."""
+def _branch_first(args) -> tuple[str, int]:
     lam = parse_multipartition(args.lam)
-    n = sum(map(sum, lam))
-    if args.command == "branch-second":
-        mults = branching.branch_second(args.m, lam)
-        return _mult_text(args.m, n, "second", lam, mults, args.as_json), 0
+    method = "matrices" if args.method == "both" else args.method
+    mults = branching.branch_first(args.m, lam, method=method)
     if args.method == "both":
-        mats = branching.branch_first(args.m, lam, method="matrices")
         labs = branching.branch_first(args.m, lam, method="labellings")
-        if mats != labs:
+        if mults != labs:
             if not args.as_json:
                 return "methods disagree", VERIFICATION_FAILURE
             return ('{"code": "method-disagreement", "labellings": %s, '
                     '"matrices": %s, "status": "error"}'
-                    % (_mult_text(args.m, n, "first", lam, labs, True),
-                       _mult_text(args.m, n, "first", lam, mats, True)),
+                    % (_mult_text(args.m, "first", lam, labs, True),
+                       _mult_text(args.m, "first", lam, mults, True)),
                     VERIFICATION_FAILURE)
-        mults = mats
-    else:
-        mults = branching.branch_first(args.m, lam, method=args.method)
-    return _mult_text(args.m, n, "first", lam, mults, args.as_json), 0
+    return _mult_text(args.m, "first", lam, mults, args.as_json), 0
+
+
+def _branch_second(args) -> tuple[str, int]:
+    lam = parse_multipartition(args.lam)
+    mults = branching.branch_second(args.m, lam)
+    return _mult_text(args.m, "second", lam, mults, args.as_json), 0
+
+
+def _dim(args) -> tuple[dict, int]:
+    lam = parse_partition(args.partition)
+    return {"partition": lam, "dim": shapes.specht_dimension(lam)}, 0
+
+
+def _lr(args) -> tuple[dict, int]:
+    lam = parse_partition(args.lam)
+    alpha = parse_partition(args.alpha)
+    beta = parse_partition(args.beta)
+    return {"lambda": lam, "alpha": alpha, "beta": beta,
+            "coefficient": lr_coefficient(lam, alpha, beta)}, 0
+
+
+def _lr_multi(args) -> tuple[dict, int]:
+    lam = parse_partition(args.lam)
+    parts = tuple(parse_partition(p) for p in args.parts.split(";"))
+    return {"lambda": lam, "parts": parts,
+            "coefficient": lr_multi(lam, parts)}, 0
+
+
+def _young_layer(args) -> tuple[dict, int]:
+    layer = branching.young_layer(args.m)
+    return {"m": layer.m, "upper": layer.upper, "lower": layer.lower,
+            "edges": [{"upper": i + 1, "lower": j + 1}
+                      for i, j in layer.edges],
+            "adjacency": layer.adjacency}, 0
+
+
+def _labellings(args) -> tuple[dict, int]:
+    layer = branching.young_layer(args.m)
+    lam = parse_multipartition(args.lam)
+    nu = parse_multipartition(args.nu)
+    entries = [{"labels": [{"upper": i + 1, "lower": j + 1, "label": lbl}
+                           for (i, j), lbl in zip(layer.edges, labels)],
+                "coefficient": coeff}
+               for labels, coeff in branching.good_labellings(args.m, lam, nu)]
+    return {"m": args.m, "lambda": lam, "nu": nu, "labellings": entries,
+            "total": sum(e["coefficient"] for e in entries)}, 0
 
 
 def _labellings_human(payload) -> str:
@@ -138,6 +178,33 @@ def _labellings_human(payload) -> str:
     return "\n".join(lines)
 
 
+def _wreath_dim(args) -> tuple[dict, int]:
+    lam = parse_multipartition(args.lam)
+    return {"m": args.m, "lambda": lam,
+            "dim": branching.wreath_specht_dimension(args.m, lam)}, 0
+
+
+def _cosets(args) -> tuple[dict, int]:
+    gamma = parse_composition(args.gamma)
+    alpha = parse_composition(args.alpha)
+    reps = [perms.to_cycles(p) for p in perms.double_coset_reps(gamma, alpha)]
+    return {"gamma": gamma, "alpha": alpha, "count": len(reps),
+            "reps": reps}, 0
+
+
+def _rho(args) -> tuple[dict, int]:
+    sizes = parse_composition(args.sizes)
+    return {"sizes": sizes,
+            "reps": [{"index": i, "cycles": perms.to_cycles(p)}
+                     for i, p in perms.rho_cosets(sizes)]}, 0
+
+
+def _verify(args) -> tuple[dict, int]:
+    from . import verify
+    report = verify.run_suite(args.suite, args.max_m, args.max_n)
+    return report, VERIFICATION_FAILURE if report["failures"] else 0
+
+
 def _verify_human(report) -> str:
     lines = [f"suite {report['suite']}: {report['checked']} instances "
              f"checked, {len(report['failures'])} failures"]
@@ -145,164 +212,82 @@ def _verify_human(report) -> str:
     return "\n".join(lines)
 
 
-# command -> the human rendering of its payload, used without --json
-_HUMAN = {
-    "partitions": lambda p: json.dumps(p["partitions"], separators=(",", ":")),
-    "dim": lambda p: str(p["dim"]),
-    "lr": lambda p: str(p["coefficient"]),
-    "lr-multi": lambda p: str(p["coefficient"]),
-    "young-layer": lambda p: (f"upper: {json.dumps(p['upper'])}\n"
-                              f"lower: {json.dumps(p['lower'])}\n"
-                              f"edges: {len(p['edges'])}"),
-    "labellings": _labellings_human,
-    "wreath-dim": lambda p: str(p["dim"]),
-    "cosets": lambda p: "\n".join(p["reps"]),
-    "rho": lambda p: "\n".join(f"rho_{e['index']} = {e['cycles']}"
-                               for e in p["reps"]),
-    "verify": _verify_human,
+_REQUIRED = {"required": True}
+_M = ("-m", {"type": int, "required": True})
+_LAMBDA = ("--lambda", {"dest": "lam", "required": True})
+
+# name -> (help, arguments as (name, add_argument keywords) after --json,
+# the payload and exit code of the parsed arguments, the human rendering
+# of the payload)
+COMMANDS = {
+    "partitions": (
+        "list the partitions of m", [("m", {"type": int})],
+        lambda a: ({"m": a.m,
+                    "partitions": shapes.enumerate_partitions(a.m)}, 0),
+        lambda p: json.dumps(p["partitions"], separators=(",", ":"))),
+    "dim": ("Specht module dimension by hook lengths",
+            [("--partition", _REQUIRED)], _dim, lambda p: str(p["dim"])),
+    "lr": ("Littlewood-Richardson coefficient",
+           [_LAMBDA, ("--alpha", _REQUIRED), ("--beta", _REQUIRED)], _lr,
+           lambda p: str(p["coefficient"])),
+    "lr-multi": (
+        "generalized LR coefficient",
+        [_LAMBDA, ("--parts", {"required": True, "help": (
+            "semicolon-separated partitions, e.g. [2];[1,1]")})],
+        _lr_multi, lambda p: str(p["coefficient"])),
+    "young-layer": (
+        "two adjacent layers of the Young graph", [("m", {"type": int})],
+        _young_layer, lambda p: (f"upper: {json.dumps(p['upper'])}\n"
+                                 f"lower: {json.dumps(p['lower'])}\n"
+                                 f"edges: {len(p['edges'])}")),
+    "labellings": ("good labellings with their coefficients",
+                   [_M, _LAMBDA, ("--nu", _REQUIRED)], _labellings,
+                   _labellings_human),
+    "branch-first": (
+        "restriction to the smaller inner group",
+        [_M, _LAMBDA, ("--method", {"default": "matrices", "choices":
+                                    ["labellings", "matrices", "both"]})],
+        _branch_first, None),
+    "branch-second": ("restriction to the smaller outer group",
+                      [_M, _LAMBDA], _branch_second, None),
+    "wreath-dim": ("dimension of a wreath product Specht module",
+                   [_M, _LAMBDA], _wreath_dim, lambda p: str(p["dim"])),
+    "cosets": ("double coset representatives from tableaux",
+               [("--gamma", _REQUIRED), ("--alpha", _REQUIRED)], _cosets,
+               lambda p: "\n".join(p["reps"])),
+    "rho": ("cyclic coset representatives for given sizes",
+            [("--sizes", _REQUIRED)], _rho,
+            lambda p: "\n".join(f"rho_{e['index']} = {e['cycles']}"
+                                for e in p["reps"])),
+    "verify": ("run an exhaustive verification suite",
+               [("--suite", {"required": True, "choices": VERIFY_SUITES}),
+                ("--max-m", {"type": int}), ("--max-n", {"type": int})],
+               _verify, _verify_human),
 }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="wreathbranch")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (help_text, arguments, _, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="print the JSON payload only")
-        return p
-
-    p = add("partitions", help="list the partitions of m")
-    p.add_argument("m", type=int)
-
-    p = add("dim", help="Specht module dimension by hook lengths")
-    p.add_argument("--partition", required=True)
-
-    p = add("lr", help="Littlewood-Richardson coefficient")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-
-    p = add("lr-multi", help="generalized LR coefficient")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--parts", required=True,
-                   help="semicolon-separated partitions, e.g. [2];[1,1]")
-
-    p = add("young-layer", help="two adjacent layers of the Young graph")
-    p.add_argument("m", type=int)
-
-    p = add("labellings", help="good labellings with their coefficients")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--nu", required=True)
-
-    p = add("branch-first", help="restriction to the smaller inner group")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--method", choices=["labellings", "matrices", "both"],
-                   default="matrices")
-
-    p = add("branch-second", help="restriction to the smaller outer group")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-
-    p = add("wreath-dim", help="dimension of a wreath product Specht module")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-
-    p = add("cosets", help="double coset representatives from tableaux")
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--alpha", required=True)
-
-    p = add("rho", help="cyclic coset representatives for given sizes")
-    p.add_argument("--sizes", required=True)
-
-    p = add("verify", help="run an exhaustive verification suite")
-    p.add_argument("--suite", required=True, choices=VERIFY_SUITES)
-    p.add_argument("--max-m", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None)
-
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def _run(args) -> tuple[str, int]:
     """The stdout of one command, and its exit code."""
-    if args.command in ("branch-first", "branch-second"):
-        return _branch(args)
-    payload, code = _payload(args)
+    _, _, compute, human = COMMANDS[args.command]
+    payload, code = compute(args)
+    if human is None:  # branch-*: _mult_text has rendered the stdout
+        return payload, code
     if args.as_json:
         # payloads are fresh dicts and tuples, so there is no cycle to find
         return json.dumps(payload, sort_keys=True, check_circular=False), code
-    return _HUMAN[args.command](payload), code
-
-
-def _payload(args) -> tuple[dict, int]:
-    """The payload of a command other than branch-*, and its exit code."""
-    cmd = args.command
-    if cmd == "partitions":
-        return {"m": args.m,
-                "partitions": shapes.enumerate_partitions(args.m)}, 0
-
-    if cmd == "dim":
-        lam = parse_partition(args.partition)
-        return {"partition": lam, "dim": shapes.specht_dimension(lam)}, 0
-
-    if cmd == "lr":
-        lam = parse_partition(args.lam)
-        alpha = parse_partition(args.alpha)
-        beta = parse_partition(args.beta)
-        return {"lambda": lam, "alpha": alpha, "beta": beta,
-                "coefficient": lr_coefficient(lam, alpha, beta)}, 0
-
-    if cmd == "lr-multi":
-        lam = parse_partition(args.lam)
-        parts = tuple(parse_partition(p) for p in args.parts.split(";"))
-        return {"lambda": lam, "parts": parts,
-                "coefficient": lr_multi(lam, parts)}, 0
-
-    if cmd == "young-layer":
-        layer = branching.young_layer(args.m)
-        return {"m": layer.m, "upper": layer.upper, "lower": layer.lower,
-                "edges": [{"upper": i + 1, "lower": j + 1}
-                          for i, j in layer.edges],
-                "adjacency": layer.adjacency}, 0
-
-    if cmd == "labellings":
-        layer = branching.young_layer(args.m)
-        lam = parse_multipartition(args.lam)
-        nu = parse_multipartition(args.nu)
-        entries = [{"labels": [{"upper": i + 1, "lower": j + 1, "label": lbl}
-                               for (i, j), lbl in zip(layer.edges, labels)],
-                    "coefficient": coeff}
-                   for labels, coeff in branching.good_labellings(args.m, lam,
-                                                                  nu)]
-        return {"m": args.m, "lambda": lam, "nu": nu, "labellings": entries,
-                "total": sum(e["coefficient"] for e in entries)}, 0
-
-    if cmd == "wreath-dim":
-        lam = parse_multipartition(args.lam)
-        return {"m": args.m, "lambda": lam,
-                "dim": branching.wreath_specht_dimension(args.m, lam)}, 0
-
-    if cmd == "cosets":
-        gamma = parse_composition(args.gamma)
-        alpha = parse_composition(args.alpha)
-        reps = [perms.to_cycles(p)
-                for p in perms.double_coset_reps(gamma, alpha)]
-        return {"gamma": gamma, "alpha": alpha, "count": len(reps),
-                "reps": reps}, 0
-
-    if cmd == "rho":
-        sizes = parse_composition(args.sizes)
-        return {"sizes": sizes,
-                "reps": [{"index": i, "cycles": perms.to_cycles(p)}
-                         for i, p in perms.rho_cosets(sizes)]}, 0
-
-    # argparse admits no other command, so only verify is left
-    from . import verify
-    report = verify.run_suite(args.suite, args.max_m, args.max_n)
-    return report, VERIFICATION_FAILURE if report["failures"] else 0
+    return human(payload), code
 
 
 def main(argv=None) -> int:
@@ -314,7 +299,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         text, code = _run(args)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         err = {"status": "error", "code": "computation-error",
                "message": str(exc)}
         print(json.dumps(err, sort_keys=True))

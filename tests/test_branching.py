@@ -364,3 +364,23 @@ def test_branch_first_commutes_with_the_sign_twist(m, lam):
     twisted = {_sign_twist(m - 1, nu): c
                for nu, c in branch_first(m, lam).items()}
     assert branch_first(m, _sign_twist(m, lam)) == twisted
+
+
+def _then(first, second, m_second):
+    """The summed multiplicities of `second` on each answer of `first`."""
+    out = {}
+    for nu, c in first.items():
+        for kappa, d in second(m_second, nu).items():
+            out[kappa] = out.get(kappa, 0) + c * d
+    return out
+
+
+@pytest.mark.parametrize("m, lam", [
+    pytest.param(m, lam, id=name)
+    for name, m, lam, _ in cheapest_first_rule_requests(
+        ("first_rule_deep", "first_rule_wide"))])
+def test_both_rules_commute_at_request_sizes(m, lam):
+    # both orders restrict to S_{m-1} wr S_{n-1}
+    first_then_second = _then(branch_first(m, lam), branch_second, m - 1)
+    second_then_first = _then(branch_second(m, lam), branch_first, m)
+    assert first_then_second == second_then_first

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -323,6 +324,100 @@ def test_unknown_command_is_usage_error(capsys):
     assert code == 1
 
 
+# The command list of the top-level --help, and the usage paragraph of
+# each command's --help, as argparse prints them 80 columns wide.
+HELP_COMMANDS = [
+    "    partitions          list the partitions of m",
+    "    dim                 Specht module dimension by hook lengths",
+    "    lr                  Littlewood-Richardson coefficient",
+    "    lr-multi            generalized LR coefficient",
+    "    young-layer         two adjacent layers of the Young graph",
+    "    labellings          good labellings with their coefficients",
+    "    branch-first        restriction to the smaller inner group",
+    "    branch-second       restriction to the smaller outer group",
+    "    wreath-dim          dimension of a wreath product Specht module",
+    "    cosets              double coset representatives from tableaux",
+    "    rho                 cyclic coset representatives for given sizes",
+    "    verify              run an exhaustive verification suite",
+]
+
+USAGE = {
+    "partitions": "usage: wreathbranch partitions [-h] [--json] m",
+    "dim": "usage: wreathbranch dim [-h] [--json] --partition PARTITION",
+    "lr": ("usage: wreathbranch lr [-h] [--json] --lambda LAM --alpha ALPHA "
+           "--beta BETA"),
+    "lr-multi": ("usage: wreathbranch lr-multi [-h] [--json] --lambda LAM "
+                 "--parts PARTS"),
+    "young-layer": "usage: wreathbranch young-layer [-h] [--json] m",
+    "labellings": ("usage: wreathbranch labellings [-h] [--json] -m M "
+                   "--lambda LAM --nu NU"),
+    "branch-first": (
+        "usage: wreathbranch branch-first [-h] [--json] -m M --lambda LAM\n"
+        "                                 [--method {labellings,matrices,"
+        "both}]"),
+    "branch-second": ("usage: wreathbranch branch-second [-h] [--json] -m M "
+                      "--lambda LAM"),
+    "wreath-dim": ("usage: wreathbranch wreath-dim [-h] [--json] -m M "
+                   "--lambda LAM"),
+    "cosets": ("usage: wreathbranch cosets [-h] [--json] --gamma GAMMA "
+               "--alpha ALPHA"),
+    "rho": "usage: wreathbranch rho [-h] [--json] --sizes SIZES",
+    "verify": (
+        "usage: wreathbranch verify [-h] [--json] --suite\n"
+        "                           {cosets,dimensions-first,"
+        "dimensions-second,labelling-equivalence,length-lemma,lr-oracle,"
+        "stabilizers}\n"
+        "                           [--max-m MAX_M] [--max-n MAX_N]"),
+}
+
+
+def _help(capsys, monkeypatch, *argv) -> str:
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        cli.main([*argv, "--help"])
+    assert stop.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_command_in_order(capsys, monkeypatch):
+    out = _help(capsys, monkeypatch)
+    assert [line for line in out.splitlines()
+            if re.match(r"    \S", line)] == HELP_COMMANDS
+
+
+@pytest.mark.parametrize("command", list(USAGE))
+def test_command_help_usage(capsys, monkeypatch, command):
+    assert _help(capsys, monkeypatch, command).split("\n\n")[0] == (
+        USAGE[command])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("frobnicate",),
+     "argument command: invalid choice: 'frobnicate' (choose from "
+     "'partitions', 'dim', 'lr', 'lr-multi', 'young-layer', 'labellings', "
+     "'branch-first', 'branch-second', 'wreath-dim', 'cosets', 'rho', "
+     "'verify')"),
+    ((), "the following arguments are required: command"),
+    (("lr", "--lambda", "[1]"),
+     "the following arguments are required: --alpha, --beta"),
+])
+def test_usage_error_text(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("lr", "--lambda", "[{n}]", "--alpha", "[]", "--beta", "[{n}]"),
+    ("cosets", "--gamma", "({n})", "--alpha", "({n})"),
+])
+def test_recursion_past_the_limit_is_a_computation_error(argv):
+    # one recursion level per box: a fresh process runs out of stack
+    n = sys.getrecursionlimit() + 100
+    proc = _fresh_python("-m", "wreathbranch.cli",
+                         *(a.format(n=n) for a in argv))
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout)["code"] == "computation-error"
+
+
 def test_computation_error_exit_code(capsys):
     code, out, _ = run(capsys, "dim", "--partition", "[1,2]")
     assert code == 2
@@ -498,7 +593,7 @@ def test_labellings_output_matches_the_reference():
                     assert cli._run(parser.parse_args(argv + ["--json"])) == (
                         json.dumps(expected, sort_keys=True), 0), argv
                     assert cli._run(parser.parse_args(argv)) == (
-                        cli._HUMAN["labellings"](expected), 0), argv
+                        cli._labellings_human(expected), 0), argv
                     cases += 1
     assert cases == 1956
 
@@ -565,6 +660,7 @@ def _fresh_python(*args):
 
 
 def test_branch_requests_leave_the_oracles_unimported():
+    # a branch-* request loads the package and exactly these modules
     script = ("import contextlib, io, sys\n"
               "from wreathbranch import cli\n"
               "imported = ['wreathbranch.verify' in sys.modules]\n"
@@ -572,6 +668,8 @@ def test_branch_requests_leave_the_oracles_unimported():
               "    for rule in ('branch-first', 'branch-second'):\n"
               "        cli.main([rule, '-m', '3', '--lambda', "
               "'[[2],[1,1],[1,1]]'])\n"
+              "print(' '.join(sorted(name for name in sys.modules\n"
+              "                      if name.startswith('wreathbranch'))))\n"
               "imported.append('wreathbranch.verify' in sys.modules)\n"
               "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
               "    code = cli.main(['verify', '--suite', 'nope'])\n"
@@ -579,7 +677,10 @@ def test_branch_requests_leave_the_oracles_unimported():
               "print(imported, code, 'usage error' in err.getvalue())\n")
     proc = _fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, False, False] 1 True\n"
+    assert proc.stdout == (
+        "wreathbranch wreathbranch.branching wreathbranch.cli wreathbranch.lr "
+        "wreathbranch.perms wreathbranch.shapes wreathbranch.tableaux\n"
+        "[False, False, False] 1 True\n")
 
 
 def test_verify_suites_match_the_oracles(capsys):
