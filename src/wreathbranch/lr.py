@@ -2,24 +2,25 @@
 
 ``lr_coefficient`` is 0 unless alpha and beta fit in lam and
 alpha u beta <= lam <= alpha + beta in dominance order (Fulton, *Young
-Tableaux*, section 5); otherwise it counts lattice-word semistandard
-skew tableaux.  ``lr_multi`` extends it to a tuple of partitions by
-peeling off the first one and recursing.  ``verify.schur_product_oracle``
-cross-checks the rule by an independent route.
+Tableaux*, section 5).  Otherwise a pruned walk after Anders Buch's
+``lrcalc`` counts the LR tableaux of shape lam/alpha and content beta,
+and lists no other tableau.  ``lr_multi`` extends it to a tuple of
+partitions by peeling off the first one and recursing.
+``verify.schur_product_oracle`` cross-checks the rule by an independent
+route.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import accumulate, zip_longest
+from operator import le
 
 from .shapes import Partition, check_partition, enumerate_partitions
-from .tableaux import (enumerate_skew_ssyt, is_lattice_word,
-                       reverse_reading_word, skew_fits)
 
 
 def lr_coefficient(lam: Partition, alpha: Partition, beta: Partition) -> int:
-    """The coefficient c^lam_{alpha,beta} via lattice-word counting."""
+    """The coefficient c^lam_{alpha,beta}: the number of LR tableaux."""
     return _lr_coefficient(*map(check_partition, (lam, alpha, beta)))
 
 
@@ -50,15 +51,65 @@ def _lr_multi(lam: Partition, parts) -> int:
 def _lr_coefficient(lam: Partition, alpha: Partition, beta: Partition) -> int:
     if sum(beta) != sum(lam) - sum(alpha) or not _in_window(lam, alpha, beta):
         return 0
-    return sum(1 for t in enumerate_skew_ssyt(lam, alpha, beta)
-               if is_lattice_word(reverse_reading_word(t)))
+    return _lr_walk(lam, alpha, beta)
+
+
+def _lr_walk(lam: Partition, alpha: Partition, beta: Partition) -> int:
+    """The number of LR tableaux of shape lam/alpha and content beta.
+
+    Fills the boxes in reverse reading order (rows top-down, each right
+    to left).  A box of row i (from 0) takes a value v only while v is
+    owed to the content (count[v] < beta_v), is at most i + 1 and the
+    box to its right, exceeds the box above it, and keeps the reading
+    word a lattice word (count[v] < count[v - 1]).  One loop moves back
+    and forth over the boxes, so no shape needs a deep stack.  Assumes
+    alpha fits in lam and |beta| = |lam/alpha|.
+    """
+    # per box in filling order: its largest value by row, and the
+    # positions of its right and upper neighbours; position n reads 0
+    # (no box above) and n + 1 reads len(beta) (no box to the right)
+    n = sum(beta)
+    boxes, where = [], {}
+    for i, (a, row) in enumerate(zip_longest(alpha, lam, fillvalue=0)):
+        for j in range(row - 1, a - 1, -1):
+            where[i, j] = len(boxes)
+            boxes.append((min(i + 1, len(beta)), where.get((i, j + 1), n + 1),
+                          where.get((i - 1, j), n)))
+    value = [0] * n + [0, len(beta)]
+    owed = (0,) + beta
+    count = [n + 1] + [0] * len(beta)    # count[0] never stops a 1
+    total, k = 0, 0
+    while k >= 0:
+        if k == n:
+            total += 1
+            k -= 1
+            continue
+        top, right, above = boxes[k]
+        v = value[k]
+        if v:
+            count[v] -= 1
+            v += 1
+        else:
+            v = value[above] + 1
+        hi = min(top, value[right])
+        while v <= hi and (count[v] == owed[v] or count[v] == count[v - 1]):
+            v += 1
+        if v <= hi:
+            value[k] = v
+            count[v] += 1
+            k += 1
+        else:
+            value[k] = 0
+            k -= 1
+    return total
 
 
 def _in_window(lam: Partition, alpha: Partition, beta: Partition) -> bool:
     """alpha and beta fit in lam, and alpha u beta <= lam <= alpha + beta."""
     added = tuple(a + b for a, b in zip_longest(alpha, beta, fillvalue=0))
     union = sorted(alpha + beta, reverse=True)
-    return (skew_fits(lam, alpha) and skew_fits(lam, beta)
+    return (all(len(p) <= len(lam) and all(map(le, p, lam))
+                for p in (alpha, beta))
             and _dominated(lam, added, sum(lam))
             and _dominated(union, lam, sum(lam)))
 

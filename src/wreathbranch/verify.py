@@ -1,7 +1,7 @@
 """Independent oracles and exhaustive self-check suites.
 
 The oracles use the enumerators of ``shapes`` and the permutation
-helpers below, but never call ``lr``, ``tableaux`` or ``branching``:
+helpers below, but never call ``lr`` or ``branching``:
 Schur products from Kostka numbers by the Pieri rule, and double cosets
 found by orbit closure on the right cosets of S_n.  Each suite compares
 an independent value with the production code, which the suites do
@@ -32,7 +32,7 @@ from .shapes import (Composition, Partition, compositions,
 # the suites over all of S_n: brute_force_double_cosets labels all n!
 # permutations, and the stabilizer suite conjugates S_gamma by each of
 # them.  At n = 7, cosets take about 7 s and stabilizers about 30 s.
-SCHUR_ORACLE_BOUND = 12
+SCHUR_ORACLE_BOUND = 14
 ORACLE_BOUND = 7
 
 
@@ -275,7 +275,7 @@ def positive_compositions(n: int):
 
 
 def verify_lr_oracle(max_total: int = 8) -> dict:
-    """Lattice-word counts against Schur-polynomial peeling, all sizes."""
+    """LR coefficients against Schur-polynomial peeling, all sizes."""
     if max_total > SCHUR_ORACLE_BOUND:
         raise ValueError(f"oracle bound exceeded: {max_total} > "
                          f"{SCHUR_ORACLE_BOUND}")

@@ -81,42 +81,87 @@ def count_standard_tableaux(shape: tuple[int, ...]) -> int:
     return place(1)
 
 
-def naive_skew_ssyt(outer, inner, type_):
-    """All semistandard fillings found by filtering every raw filling."""
-    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
-    boxes = [(i, inner[i] + j + 1) for i in range(len(outer))
-             for j in range(outer[i] - inner[i])]
+def reverse_reading_word(rows) -> tuple[int, ...]:
+    """Concatenate the rows, each reversed, from the top row down."""
+    word = []
+    for row in rows:
+        word.extend(reversed(row))
+    return tuple(word)
+
+
+def is_lattice_word(word) -> bool:
+    """Every prefix contains at least as many i's as (i+1)'s, for all i."""
+    counts: dict[int, int] = {}
+    for v in word:
+        if v < 1:
+            raise ValueError("lattice words have positive entries")
+        counts[v] = counts.get(v, 0) + 1
+        if v > 1 and counts[v] > counts.get(v - 1, 0):
+            return False
+    return True
+
+
+def enumerate_skew_ssyt(outer, inner, type_) -> list:
+    """All semistandard skew tableaux of the given shape and type.
+
+    A tableau is a tuple of row tuples; row i holds the entries in
+    absolute columns inner[i]+1 .. outer[i].  Entries range over
+    1..len(type_), entry i used exactly type_[i-1] times.  Returns the
+    empty list when the type size does not match the number of boxes.
+    Order: row-major lexicographic on the fillings.
+    """
+    outer = tuple(outer)
+    inner = tuple(inner)
+    if len(inner) > len(outer) or any(a > b for a, b in zip(inner, outer)):
+        raise ValueError(f"inner shape {inner} does not fit inside {outer}")
+    type_ = tuple(type_)
+    boxes = [(i, (inner[i] if i < len(inner) else 0) + j + 1)
+             for i in range(len(outer))
+             for j in range((outer[i] - (inner[i] if i < len(inner) else 0)))]
     if sum(type_) != len(boxes):
         return []
-    maxe = len(type_)
-    out = []
-    for values in itertools.product(range(1, maxe + 1), repeat=len(boxes)):
-        counts = [0] * maxe
-        for v in values:
-            counts[v - 1] += 1
-        if tuple(counts) != tuple(type_):
-            continue
-        grid = dict(zip(boxes, values))
-        ok = True
-        for (i, c), v in grid.items():
-            if (i, c + 1) in grid and grid[(i, c + 1)] < v:
-                ok = False
-                break
-            above = None
-            for k in range(i - 1, -1, -1):
-                if (k, c) in grid:
-                    above = grid[(k, c)]
-                    break
-            if above is not None and above >= v:
-                ok = False
-                break
-        if ok:
+
+    remaining = list(type_)
+    filling: dict[tuple[int, int], int] = {}
+    results = []
+
+    def above(i: int, col: int):
+        for k in range(i - 1, -1, -1):
+            if (k, col) in filling:
+                return filling[(k, col)]
+        return 0
+
+    def backtrack(pos: int):
+        if pos == len(boxes):
             rows = []
             for i in range(len(outer)):
-                rows.append(tuple(grid[(i, inner[i] + j + 1)]
-                                  for j in range(outer[i] - inner[i])))
-            out.append(tuple(rows))
-    return out
+                off = inner[i] if i < len(inner) else 0
+                rows.append(tuple(filling[(i, off + j + 1)]
+                                  for j in range(outer[i] - off)))
+            results.append(tuple(rows))
+            return
+        i, col = boxes[pos]
+        left = filling.get((i, col - 1), 1)
+        lo = max(left, above(i, col) + 1)
+        for v in range(lo, len(type_) + 1):
+            if remaining[v - 1] == 0:
+                continue
+            remaining[v - 1] -= 1
+            filling[(i, col)] = v
+            backtrack(pos + 1)
+            del filling[(i, col)]
+            remaining[v - 1] += 1
+
+    backtrack(0)
+    return results
+
+
+def lattice_tableaux(lam, alpha, beta) -> int:
+    """c^lam_{alpha,beta} by brute force: the semistandard tableaux of
+    shape lam/alpha and type beta whose reverse reading word is a
+    lattice word."""
+    return sum(1 for t in enumerate_skew_ssyt(lam, alpha, beta)
+               if is_lattice_word(reverse_reading_word(t)))
 
 
 def content_type(rows) -> tuple[int, ...]:

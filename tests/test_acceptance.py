@@ -58,7 +58,7 @@ def test_acceptance_4_second_rule_dimension_identity():
 
 
 def test_acceptance_5_lr_oracle_agreement():
-    report = verify_lr_oracle(max_total=10)
+    report = verify_lr_oracle(max_total=11)
     _report(5, "LR oracle agreement", not report["failures"],
             f"{report['checked']} coefficients, "
             f"{len(report['failures'])} failures")

@@ -406,16 +406,28 @@ def test_usage_error_text(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ("lr", "--lambda", "[{n}]", "--alpha", "[]", "--beta", "[{n}]"),
     ("cosets", "--gamma", "({n})", "--alpha", "({n})"),
 ])
 def test_recursion_past_the_limit_is_a_computation_error(argv):
-    # one recursion level per box: a fresh process runs out of stack
+    # shapes.fillings recurses once per box: a fresh process runs out
+    # of stack
     n = sys.getrecursionlimit() + 100
     proc = _fresh_python("-m", "wreathbranch.cli",
                          *(a.format(n=n) for a in argv))
     assert (proc.returncode, proc.stderr) == (2, "")
     assert json.loads(proc.stdout)["code"] == "computation-error"
+
+
+@pytest.mark.parametrize("shape", ["[{n}]", "[{ones}]"],
+                         ids=["row", "column"])
+def test_lr_past_the_recursion_limit_is_answered(shape):
+    # the LR walk is one loop, so a shape longer than the recursion
+    # limit needs no deeper stack
+    n = sys.getrecursionlimit() + 100
+    lam = shape.format(n=n, ones=",".join(["1"] * n))
+    proc = _fresh_python("-m", "wreathbranch.cli", "lr", "--lambda", lam,
+                         "--alpha", "[]", "--beta", lam)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
 
 def test_computation_error_exit_code(capsys):
@@ -679,7 +691,7 @@ def test_branch_requests_leave_the_oracles_unimported():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
         "wreathbranch wreathbranch.branching wreathbranch.cli wreathbranch.lr "
-        "wreathbranch.perms wreathbranch.shapes wreathbranch.tableaux\n"
+        "wreathbranch.perms wreathbranch.shapes\n"
         "[False, False, False] 1 True\n")
 
 

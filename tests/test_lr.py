@@ -5,18 +5,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from wreathbranch import lr
 from wreathbranch.lr import lr_coefficient, lr_multi
-from wreathbranch.shapes import enumerate_partitions, specht_dimension
-from wreathbranch.tableaux import (is_lattice_word, reverse_reading_word,
-                                   skew_fits)
+from wreathbranch.shapes import (conjugate, enumerate_partitions,
+                                 specht_dimension)
 from wreathbranch.verify import (SCHUR_ORACLE_BOUND, _kostka,
                                  schur_product_oracle, verify_lr_oracle)
 
-from helpers import (full_product_schur_expansion, naive_skew_ssyt,
-                     schur_monomials)
-
-# naive_skew_ssyt tries len(beta) ** |beta| raw fillings; the window
-# tests draw only the beta that keep this small
-NAIVE_FILLINGS = 1024
+from helpers import (enumerate_skew_ssyt, full_product_schur_expansion,
+                     lattice_tableaux, schur_monomials)
 
 
 def test_lr_coefficient_examples():
@@ -179,22 +174,57 @@ def test_each_window_condition_rejects_on_its_own(lam, alpha, beta):
     assert lr_coefficient(lam, alpha, beta) == 0
 
 
+def _fits(outer, inner) -> bool:
+    return len(inner) <= len(outer) and all(map(int.__le__, inner, outer))
+
+
+def _skew_triple(data, max_size):
+    """lam of size at most max_size, alpha inside it, and any beta with
+    |beta| = |lam/alpha|."""
+    n = data.draw(st.integers(0, max_size), label="|lam|")
+    lam = data.draw(st.sampled_from(enumerate_partitions(n)), label="lam")
+    b = data.draw(st.integers(0, n), label="|beta|")
+    alpha = data.draw(st.sampled_from(
+        [a for a in enumerate_partitions(n - b) if _fits(lam, a)]),
+        label="alpha")
+    beta = data.draw(st.sampled_from(enumerate_partitions(b)), label="beta")
+    return lam, alpha, beta
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_triples_outside_the_window_have_no_lattice_tableau(data):
-    n = data.draw(st.integers(0, 12), label="|lam|")
-    lam = data.draw(st.sampled_from(enumerate_partitions(n)), label="lam")
-    b = data.draw(st.integers(0, n), label="|beta|")
-    # alpha inside lam: an alpha outside gives no skew shape to fill
-    alpha = data.draw(st.sampled_from(
-        [a for a in enumerate_partitions(n - b) if skew_fits(lam, a)]),
-        label="alpha")
-    beta = data.draw(st.sampled_from(
-        [p for p in enumerate_partitions(b)
-         if len(p) ** b <= NAIVE_FILLINGS]), label="beta")
+    lam, alpha, beta = _skew_triple(data, 12)
     assume(not lr._in_window(lam, alpha, beta))
-    assert not any(is_lattice_word(reverse_reading_word(t))
-                   for t in naive_skew_ssyt(lam, alpha, beta))
+    assert lattice_tableaux(lam, alpha, beta) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_walk_counts_the_lattice_tableaux(data):
+    # the walk runs here on triples inside and outside the window alike
+    lam, alpha, beta = _skew_triple(data, 12)
+    assert lr._lr_walk(lam, alpha, beta) == lattice_tableaux(lam, alpha, beta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lr_symmetries_past_the_oracles(data):
+    # c^lam_{alpha,beta} = c^lam_{beta,alpha} = c^lam'_{alpha',beta'},
+    # at sizes above those the tier-1 oracle run checks (|lam| <= 11);
+    # lam is drawn from the window, where the coefficients that are not
+    # 0 lie
+    n = data.draw(st.integers(13, 18), label="|lam|")
+    a = data.draw(st.integers(0, n), label="|alpha|")
+    alpha = data.draw(st.sampled_from(enumerate_partitions(a)), label="alpha")
+    beta = data.draw(st.sampled_from(enumerate_partitions(n - a)),
+                     label="beta")
+    lam = data.draw(st.sampled_from(
+        [p for p in enumerate_partitions(n) if lr._in_window(p, alpha, beta)]),
+        label="lam")
+    c = lr_coefficient(lam, alpha, beta)
+    assert lr_coefficient(lam, beta, alpha) == c
+    assert lr_coefficient(*map(conjugate, (lam, alpha, beta))) == c
 
 
 def test_lr_oracle_reports_a_window_that_drops_a_coefficient(monkeypatch):
@@ -208,3 +238,16 @@ def test_lr_oracle_reports_a_window_that_drops_a_coefficient(monkeypatch):
     finally:
         lr._lr_coefficient.cache_clear()
     assert report["failures"] == ["c^(2, 1)_((1,),(1, 1)) = 0, oracle says 1"]
+
+
+def test_lr_oracle_reports_a_walk_without_the_lattice_prune(monkeypatch):
+    # without the lattice condition the walk counts every semistandard
+    # tableau of shape lam/alpha and type beta
+    monkeypatch.setattr(lr, "_lr_walk", lambda lam, alpha, beta: len(
+        enumerate_skew_ssyt(lam, alpha, beta)))
+    lr._lr_coefficient.cache_clear()
+    try:
+        report = verify_lr_oracle(3)
+    finally:
+        lr._lr_coefficient.cache_clear()
+    assert report["failures"] == ["c^(2, 1)_((1,),(1, 1)) = 2, oracle says 1"]

@@ -1,10 +1,13 @@
+"""The tableau helpers that serve as the brute-force LR reference."""
+
+import itertools
+
 import pytest
 
 from wreathbranch.shapes import enumerate_partitions, specht_dimension
-from wreathbranch.tableaux import (enumerate_skew_ssyt, is_lattice_word,
-                                   reverse_reading_word)
 
-from helpers import content_type, is_semistandard, naive_skew_ssyt
+from helpers import (content_type, enumerate_skew_ssyt, is_lattice_word,
+                     is_semistandard, reshape, reverse_reading_word)
 
 # skew filling of (6,4,3,3,1) minus (3,4,2,1), used in several tests
 SKEW_OUTER = (6, 4, 3, 3, 1)
@@ -97,9 +100,22 @@ def test_enumeration_matches_naive_filter():
             if any(v < 0 for v in type_):
                 continue
             got = enumerate_skew_ssyt(outer, inner, type_)
-            want = naive_skew_ssyt(outer, inner, type_)
+            want = _skew_ssyt_by_filter(outer, inner, type_)
             assert sorted(got) == sorted(want)
             assert len(got) == len(set(got))
+
+
+def _skew_ssyt_by_filter(outer, inner, type_):
+    """Every raw filling of outer/inner, kept if semistandard of type_."""
+    lengths = [o - i for o, i in itertools.zip_longest(outer, inner,
+                                                       fillvalue=0)]
+    kept = []
+    for values in itertools.product(range(1, len(type_) + 1),
+                                    repeat=sum(lengths)):
+        rows = reshape(values, lengths)
+        if is_semistandard(rows, inner) and content_type(rows) == type_:
+            kept.append(rows)
+    return kept
 
 
 def test_enumeration_is_row_major_lexicographic():
