@@ -406,14 +406,16 @@ def test_usage_error_text(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv", [
+    ("cosets", "--gamma", "({n})", "--alpha", "({ones})"),
     ("cosets", "--gamma", "({n})", "--alpha", "({n})"),
 ])
 def test_recursion_past_the_limit_is_a_computation_error(argv):
-    # shapes.fillings recurses once per box: a fresh process runs out
-    # of stack
+    # shapes.fillings recurses once per box, whether the boxes lie in
+    # one row or one per row: a fresh process runs out of stack
     n = sys.getrecursionlimit() + 100
+    ones = ",".join(["1"] * n)
     proc = _fresh_python("-m", "wreathbranch.cli",
-                         *(a.format(n=n) for a in argv))
+                         *(a.format(n=n, ones=ones) for a in argv))
     assert (proc.returncode, proc.stderr) == (2, "")
     assert json.loads(proc.stdout)["code"] == "computation-error"
 
