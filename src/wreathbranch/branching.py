@@ -15,7 +15,7 @@ from math import factorial, prod
 from operator import itemgetter
 from typing import NamedTuple
 
-from .lr import _lr_multi, _lr_multi_sorted
+from .lr import _lr_multi, _lr_multi_sorted, _lr_product
 from .shapes import (Multipartition, Partition, _removable_boxes,
                      _specht_dimension, check_count, check_partition,
                      compositions, enumerate_partitions, removable_boxes,
@@ -233,10 +233,14 @@ def _column_expansion(column) -> tuple:
     `column` holds one partition per row, () entries included; the nus
     are partitions of its total size in `enumerate_partitions` order.
     """
-    size = sum(map(sum, column))
-    pairs = [(nu, c) for nu in enumerate_partitions(size)
-             if (c := _lr_multi(nu, column))]
-    return tuple(nu for nu, _ in pairs), tuple(c for _, c in pairs)
+    terms = {(): 1}
+    for part in sorted(p for p in column if p):
+        grown: dict = {}
+        for kappa, c in terms.items():
+            for nu, d in _lr_product(kappa, part).items():
+                grown[nu] = grown.get(nu, 0) + c * d
+        terms = grown
+    return tuple(zip(*sorted(terms.items(), reverse=True)))
 
 
 def _check_lambda(m: int, lam) -> Multipartition:

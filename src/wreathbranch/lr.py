@@ -3,18 +3,18 @@
 ``lr_coefficient`` is 0 unless alpha and beta fit in lam and
 alpha u beta <= lam <= alpha + beta in dominance order (Fulton, *Young
 Tableaux*, section 5).  Otherwise a pruned walk after Anders Buch's
-``lrcalc`` counts the LR tableaux of shape lam/alpha and content beta,
-and lists no other tableau.  ``lr_multi`` extends it to a tuple of
-partitions by peeling off the first one and recursing.
-``verify.schur_product_oracle`` cross-checks the rule by an independent
-route.
+``lrcalc`` counts the LR tableaux of shape lam/alpha and content beta.
+``lr_multi`` extends it to a tuple of partitions by peeling off the
+first one and recursing.  ``_lr_product`` lists every nonzero
+c^nu_{kappa,alpha} at once, strip by strip as ``lrcalc`` does.
+``verify.schur_product_oracle`` cross-checks both by another route.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import accumulate, zip_longest
-from operator import le
+from operator import le, sub
 
 from .shapes import Partition, check_partition, enumerate_partitions
 
@@ -118,6 +118,38 @@ def _dominated(small, big, n: int) -> bool:
     """small <= big in dominance order; partial sums past the end are n."""
     return all(s <= b for s, b in zip_longest(accumulate(small),
                                               accumulate(big), fillvalue=n))
+
+
+@cache
+def _lr_product(kappa: Partition, alpha: Partition) -> dict:
+    """{nu: c^nu_{kappa,alpha}} for each nu where it is not 0; no recursion.
+
+    After ``lrcalc``, label i + 1 fills a horizontal strip of alpha_i
+    boxes top-down while the label-(i+1) boxes in rows <= r number at
+    most the label-i boxes in rows < r.  Do not change the cached dict.
+    """
+    # (shape, most boxes the next label may put in rows <= r) -> tableaux
+    states = {(kappa, (sum(alpha),) * (len(kappa) + 1)): 1}
+    for size in alpha:
+        grown: dict = {}
+        for (shape, most), count in states.items():
+            start = most.count(0)  # the rows above the last label's boxes
+            room = [size, *map(sub, shape, shape[1:] + (0,))][start:]
+            room_below = list(accumulate(room[:0:-1], initial=0))[::-1]
+            partial = [(0, (0,) * start)]  # (boxes placed, boxes per row)
+            for top, cap, rest in zip(most[start:], room, room_below):
+                partial = [(c + a, strip + (a,)) for c, strip in partial
+                           for a in range(max(0, size - c - rest),
+                                          min(top - c, cap, size - c) + 1)]
+            for _, strip in partial:
+                nu = tuple(o + a for o, a in zip(shape + (0,), strip) if o + a)
+                key = nu, tuple(accumulate(strip, initial=0))
+                grown[key] = grown.get(key, 0) + count
+        states = grown
+    product: dict = {}
+    for (shape, _), count in states.items():
+        product[shape] = product.get(shape, 0) + count
+    return product
 
 
 @cache

@@ -155,30 +155,34 @@ def fillings(row_sums, col_sums) -> list[tuple[int, ...]]:
 
     Row i has row_sums[i] boxes and entry j (0-based) is used
     col_sums[j] times.  The rows are concatenated in order.  Order:
-    lexicographic.
+    lexicographic.  One loop over the boxes, so no deep stack.
     """
-    rows = [i for i, size in enumerate(row_sums) for _ in range(size)]
-    n = len(rows)
+    after = [size - 1 - j for size in row_sums for j in range(size)]
+    n, top = len(after), len(col_sums)
     out: list[tuple[int, ...]] = []
-    if n != sum(col_sums):
-        return out
-    remaining = list(col_sums)
-    flat: list[int] = []
-
-    def backtrack(pos: int):
-        if pos == n:
+    remaining, flat = list(col_sums), [-1] * n  # -1: no entry yet
+    k = 0 if n == sum(col_sums) else -1  # unequal totals: no filling
+    while k >= 0:
+        if k == n:
             out.append(tuple(flat))
-            return
-        lo = flat[-1] if pos and rows[pos - 1] == rows[pos] else 0
-        for v in range(lo, len(remaining)):
-            if remaining[v]:
-                remaining[v] -= 1
-                flat.append(v)
-                backtrack(pos + 1)
-                flat.pop()
-                remaining[v] += 1
-
-    backtrack(0)
+            k -= 1
+            continue
+        v = flat[k]
+        if v >= 0:  # free the entry the box held, to try the next one
+            remaining[v] += 1
+            v += 1
+        else:  # no less than the entry to its left in its row
+            v = flat[k - 1] if k and after[k - 1] else 0
+        while v < top and not remaining[v]:
+            v += 1
+        # the row's later boxes need entries no less than v
+        if v < top and (not after[k] or sum(remaining[v:]) > after[k]):
+            remaining[v] -= 1
+            flat[k] = v
+            k += 1
+        else:
+            flat[k] = -1
+            k -= 1
     return out
 
 

@@ -444,7 +444,11 @@ def _row_fillings_by_filter(support_row, eta_i) -> tuple:
 
 @functools.cache
 def _column_map(col_parts) -> dict:
-    """nu -> lr_multi(nu, col_parts) over partitions of the size, if > 0."""
+    """nu -> lr_multi(nu, col_parts) over partitions of the size, if > 0.
+
+    The reference for ``branching._column_expansion``: it asks about
+    every partition of the column's size, as that function once did.
+    """
     size = sum(map(sum, col_parts))
     return {nu: c for nu in enumerate_partitions(size)
             if (c := lr_multi(nu, col_parts))}

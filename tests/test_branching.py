@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 
-from helpers import (cheapest_first_rule_requests,
+from helpers import (_column_map, cheapest_first_rule_requests,
                      filtration_multiplicities_by_loop,
                      good_labellings_by_fillings)
-from wreathbranch.branching import (_filtration_multiplicities, _incidence,
+from wreathbranch.branching import (_column_expansion,
+                                    _filtration_multiplicities, _incidence,
                                     _labelling_groups, _node_keys,
                                     branch_first, branch_second,
                                     good_labellings, wreath_specht_dimension,
@@ -186,6 +188,27 @@ def test_filtration_sum_matches_the_plain_loop():
     # row coefficients above 1 need |eta_i| >= 6 on a two-edge row
     check(3, ((1,), (3, 2, 1), ()))
     check(4, ((), (3, 2, 1), (), (2, 1, 1, 1, 1), (1,)))
+
+
+def test_column_expansion_matches_the_scan():
+    # every column of up to 3 nonempty parts with total <= 8, once with
+    # an empty entry: the nus come in enumerate_partitions order
+    columns = 0
+    for total in range(9):
+        for k in range(4):
+            for sizes in compositions(total, (total,) * k):
+                if 0 in sizes:
+                    continue
+                for parts in itertools.product(*map(enumerate_partitions,
+                                                    sizes)):
+                    want = _column_map(parts)
+                    order = tuple(nu for nu in enumerate_partitions(total)
+                                  if nu in want)
+                    for column in (parts, ((),) + parts[::-1]):
+                        columns += 1
+                        assert _column_expansion(column) == (
+                            order, tuple(map(want.get, order)))
+    assert columns == 1840
 
 
 def test_filtration_without_nonempty_rows():

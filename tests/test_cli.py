@@ -408,16 +408,20 @@ def test_usage_error_text(capsys, argv, message):
 @pytest.mark.parametrize("argv", [
     ("cosets", "--gamma", "({n})", "--alpha", "({ones})"),
     ("cosets", "--gamma", "({n})", "--alpha", "({n})"),
+    ("cosets", "--gamma", "({ones})", "--alpha", "({n})"),
 ])
-def test_recursion_past_the_limit_is_a_computation_error(argv):
-    # shapes.fillings recurses once per box, whether the boxes lie in
-    # one row or one per row: a fresh process runs out of stack
+def test_cosets_past_the_recursion_limit_are_answered(argv):
+    # shapes.fillings is one loop, so boxes in one row or one per row,
+    # more than the recursion limit, need no deeper stack; and it never
+    # starts a row that its remaining entries cannot finish, so n
+    # distinct entries in one row take n steps, not 2^n
     n = sys.getrecursionlimit() + 100
     ones = ",".join(["1"] * n)
     proc = _fresh_python("-m", "wreathbranch.cli",
-                         *(a.format(n=n, ones=ones) for a in argv))
-    assert (proc.returncode, proc.stderr) == (2, "")
-    assert json.loads(proc.stdout)["code"] == "computation-error"
+                         *(a.format(n=n, ones=ones) for a in argv), "--json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = json.loads(proc.stdout)
+    assert (payload["count"], payload["reps"]) == (1, ["e"])
 
 
 @pytest.mark.parametrize("shape", ["[{n}]", "[{ones}]"],

@@ -1,17 +1,21 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from wreathbranch import lr
+from wreathbranch import branching, lr
 from wreathbranch.lr import lr_coefficient, lr_multi
 from wreathbranch.shapes import (conjugate, enumerate_partitions,
                                  specht_dimension)
 from wreathbranch.verify import (SCHUR_ORACLE_BOUND, _kostka,
-                                 schur_product_oracle, verify_lr_oracle)
+                                 schur_product_oracle,
+                                 verify_labelling_equivalence,
+                                 verify_lr_oracle)
 
-from helpers import (enumerate_skew_ssyt, full_product_schur_expansion,
-                     lattice_tableaux, schur_monomials)
+from helpers import (_column_map, enumerate_skew_ssyt,
+                     full_product_schur_expansion, lattice_tableaux,
+                     schur_monomials)
 
 
 def test_lr_coefficient_examples():
@@ -251,3 +255,68 @@ def test_lr_oracle_reports_a_walk_without_the_lattice_prune(monkeypatch):
     finally:
         lr._lr_coefficient.cache_clear()
     assert report["failures"] == ["c^(2, 1)_((1,),(1, 1)) = 2, oracle says 1"]
+
+
+def _product_mismatches(max_total):
+    """(pairs, [(kappa, alpha), ...]): the pairs with |kappa| + |alpha| <=
+    max_total where the product kernel and the Schur oracle differ."""
+    pairs, mismatches = 0, []
+    for total in range(max_total + 1):
+        for k in range(total + 1):
+            for kappa in enumerate_partitions(k):
+                for alpha in enumerate_partitions(total - k):
+                    pairs += 1
+                    if lr._lr_product(kappa, alpha) != schur_product_oracle(
+                            kappa, alpha):
+                        mismatches.append((kappa, alpha))
+    return pairs, mismatches
+
+
+def test_the_product_kernel_matches_the_schur_oracle():
+    assert _product_mismatches(10) == (1215, [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_product_kernel_past_the_oracle_run(data):
+    # the kernel builds strips; the scan asks lr_multi, which walks boxes
+    n = data.draw(st.integers(9, 14), label="|kappa| + |alpha|")
+    k = data.draw(st.integers(0, n), label="|kappa|")
+    kappa = data.draw(st.sampled_from(enumerate_partitions(k)), label="kappa")
+    alpha = data.draw(st.sampled_from(enumerate_partitions(n - k)),
+                      label="alpha")
+    assert lr._lr_product(kappa, alpha) == _column_map((kappa, alpha))
+
+
+def _semistandard_product(kappa, alpha):
+    """The kernel without its lattice prune: every semistandard tableau of
+    shape nu/kappa and type alpha, for each nu that holds kappa."""
+    return {nu: c for nu in enumerate_partitions(sum(kappa) + sum(alpha))
+            if _fits(nu, kappa)
+            and (c := len(enumerate_skew_ssyt(nu, kappa, alpha)))}
+
+
+def test_checks_report_a_kernel_without_the_lattice_prune(monkeypatch):
+    for module in (lr, branching):
+        monkeypatch.setattr(module, "_lr_product", _semistandard_product)
+    branching._column_expansion.cache_clear()
+    try:
+        pairs, mismatches = _product_mismatches(3)
+        report = verify_labelling_equivalence(4, 4)
+    finally:
+        branching._column_expansion.cache_clear()
+    # counting every semistandard tableau, the kernel sends s_() * s_(1,1)
+    # to s_(2) + s_(1,1)
+    assert (pairs, mismatches) == (18, [((), (1, 1)), ((), (2, 1)),
+                                        ((), (1, 1, 1)), ((1,), (1, 1))])
+    # the labelling sum reads its coefficients from the LR walk, so the
+    # two first-rule methods now disagree
+    assert report["failures"]
+
+
+def test_the_product_kernel_past_the_recursion_limit():
+    # one loop over labels and rows: no stack grows with the shape
+    n = sys.getrecursionlimit() + 100
+    assert lr._lr_product((), (1,) * n) == {(1,) * n: 1}
+    assert lr._lr_product((1,) * n, (1,)) == {(2,) + (1,) * (n - 1): 1,
+                                              (1,) * (n + 1): 1}
