@@ -10,10 +10,10 @@ component, weighted by a hook-length dimension.
 from __future__ import annotations
 
 import itertools
-from functools import cache, lru_cache
+from collections import namedtuple
+from functools import cache
 from math import factorial, prod
 from operator import itemgetter
-from typing import NamedTuple
 
 from .lr import _lr_multi, _lr_multi_sorted, _lr_product
 from .shapes import (Multipartition, Partition, _removable_boxes,
@@ -23,16 +23,14 @@ from .shapes import (Multipartition, Partition, _removable_boxes,
 
 # A multipartition matrix is a tuple of rows; each row holds one
 # partition per column.  A multiplicity map is a dict multipartition ->
-# positive int.
+# positive int.  A row filling is a pair (row, coeff).
+_row_of, _coeff_of = itemgetter(0), itemgetter(1)
 
 
-class YoungLayer(NamedTuple):
-    """Partitions of m and m-1 with the one-box-removal edges between them."""
-    m: int
-    upper: tuple[Partition, ...]
-    lower: tuple[Partition, ...]
-    edges: tuple[tuple[int, int], ...]  # 0-based (upper index, lower index)
-    adjacency: tuple[tuple[int, ...], ...]
+# edges are 0-based (upper index, lower index) pairs
+YoungLayer = namedtuple("YoungLayer", "m upper lower edges adjacency")
+YoungLayer.__doc__ = ("Partitions of m and m-1 with the one-box-removal "
+                      "edges between them.")
 
 
 @cache
@@ -127,51 +125,28 @@ def _node_product(parts: Multipartition, keys) -> int:
     return coeff
 
 
-# Bounded, so a long-lived process keeps at most 64 entries.  The sweeps
-# meet lambda grouped by size composition, as `multipartitions` yields
-# them, so each (m, lambda sizes) still misses once per sweep.
-@lru_cache(maxsize=64)
-def _labelling_groups(m: int, lam_sizes) -> tuple:
-    """(nu_sizes, good labellings) pairs for upper node sizes `lam_sizes`.
-
-    One pair per size composition of nu that has a good labelling, in
-    `compositions` order, which is reverse tuple order.  Each labelling
-    is the pair (upper keys, lower keys) of `_node_keys`, built once for
-    every lambda that reads it; all are tuples, so no caller can change
-    what later lambda read.
-    """
-    layer = young_layer(m)
-    upper, lower = _incidence(layer)
-    groups: dict[tuple, list] = {}
-    for sizes in _size_matrices(layer, lam_sizes):
-        groups.setdefault(tuple(map(sum, zip(*sizes))), []).extend(
-            (_node_keys(upper, labels), _node_keys(lower, labels))
-            for labels in _labellings(layer, sizes))
-    return tuple((nu_sizes, tuple(group))
-                 for nu_sizes, group in sorted(groups.items(), reverse=True))
-
-
 def _labelling_multiplicities(layer: YoungLayer, lam: Multipartition) -> dict:
     """The multiplicity map of the good-labelling sum.
 
-    Good labellings depend only on the size compositions of lam and nu,
-    so they come from the `_labelling_groups` memo; their upper-node
-    products depend only on lam, so they are computed once per size
-    composition of nu.  The keys come in the order of `multipartitions`.
+    The labels at upper node i of a good labelling fill row i of the
+    adjacency matrix, and its upper factor is that row's coefficient, so
+    the labellings with a nonzero upper factor combine `_row_fillings`.
+    Labellings with equal lower keys (as `_node_keys` gives them) share
+    their lower factor, so their upper factors are summed first.  The
+    keys come in the order of `multipartitions`.
     """
+    groups: dict[tuple, dict] = {}  # nu sizes -> {lower keys: coeff}
+    for combo in itertools.product(*map(_row_fillings, layer.adjacency, lam)):
+        keys = tuple(tuple(sorted([p for p in column if p]))
+                     for column in zip(*map(_row_of, combo)))
+        nu_sizes = tuple(sum(map(sum, key)) for key in keys)
+        group = groups.setdefault(nu_sizes, {})
+        group[keys] = group.get(keys, 0) + prod(map(_coeff_of, combo))
     result: dict[Multipartition, int] = {}
-    for nu_sizes, labellings in _labelling_groups(layer.m,
-                                                  size_composition(lam)):
-        kept = []
-        for upper_keys, lower_keys in labellings:
-            coeff = _node_product(lam, upper_keys)
-            if coeff:
-                kept.append((lower_keys, coeff))
-        if not kept:
-            continue
+    for nu_sizes, group in sorted(groups.items(), reverse=True):
         for nu in itertools.product(*map(enumerate_partitions, nu_sizes)):
-            total = sum(coeff * _node_product(nu, lower_keys)
-                        for lower_keys, coeff in kept)
+            total = sum(coeff * _node_product(nu, keys)
+                        for keys, coeff in group.items())
             if total:
                 result[nu] = total
     return result
@@ -215,11 +190,10 @@ def _filtration_multiplicities(A, eta: Multipartition) -> dict:
     # entry of the sum is zero.
     result: dict[Multipartition, int] = {}
     get = result.get
-    row_of, coeff_of = itemgetter(0), itemgetter(1)
     for combo in itertools.product(*per_row):
-        row_coeff = prod(map(coeff_of, combo))
+        row_coeff = prod(map(_coeff_of, combo))
         # one nu^j per column, chosen independently
-        nus, coeffs = zip(*map(_column_expansion, zip(*map(row_of, combo))))
+        nus, coeffs = zip(*map(_column_expansion, zip(*map(_row_of, combo))))
         for nu, w in zip(itertools.product(*nus),
                          map(prod, itertools.product(*coeffs))):
             result[nu] = get(nu, 0) + row_coeff * w

@@ -23,7 +23,7 @@ from typing import Iterator
 
 from .branching import (_wreath_specht_dimension, branch_first,
                         branch_second, wreath_specht_dimension)
-from .lr import _lr_coefficient
+from .lr import _lr_coefficient, _lr_product
 from .perms import Perm, double_coset_reps, rho_cosets, to_cycles
 from .shapes import (Composition, Partition, compositions,
                      enumerate_partitions, multipartitions)
@@ -275,7 +275,8 @@ def positive_compositions(n: int):
 
 
 def verify_lr_oracle(max_total: int = 8) -> dict:
-    """LR coefficients against Schur-polynomial peeling, all sizes."""
+    """LR coefficients and product-kernel expansions against
+    Schur-polynomial peeling, all sizes; `checked` counts coefficients."""
     if max_total > SCHUR_ORACLE_BOUND:
         raise ValueError(f"oracle bound exceeded: {max_total} > "
                          f"{SCHUR_ORACLE_BOUND}")
@@ -286,6 +287,11 @@ def verify_lr_oracle(max_total: int = 8) -> dict:
             for alpha in enumerate_partitions(a):
                 for beta in enumerate_partitions(total - a):
                     expansion = schur_product_oracle(alpha, beta)
+                    # uncached, so the check adds no cache entries
+                    product = _lr_product.__wrapped__(alpha, beta)
+                    if product != expansion:
+                        failures.append(f"s_{alpha} * s_{beta} = {product}, "
+                                        f"oracle says {expansion}")
                     for lam in enumerate_partitions(total):
                         want = expansion.get(lam, 0)
                         got = _lr_coefficient(lam, alpha, beta)

@@ -6,17 +6,16 @@ import pytest
 from helpers import (_column_map, cheapest_first_rule_requests,
                      filtration_multiplicities_by_loop,
                      good_labellings_by_fillings)
+from wreathbranch import branching
 from wreathbranch.branching import (_column_expansion,
-                                    _filtration_multiplicities, _incidence,
-                                    _labelling_groups, _node_keys,
-                                    branch_first, branch_second,
-                                    good_labellings, wreath_specht_dimension,
-                                    young_layer)
+                                    _filtration_multiplicities, branch_first,
+                                    branch_second, good_labellings,
+                                    wreath_specht_dimension, young_layer)
 from wreathbranch.shapes import (compositions, conjugate,
                                  enumerate_partitions, multipartitions,
-                                 removable_boxes, size_composition,
-                                 specht_dimension)
-from wreathbranch.verify import verify_dimensions
+                                 removable_boxes, specht_dimension)
+from wreathbranch.verify import (verify_dimensions,
+                                 verify_labelling_equivalence)
 
 LAM36 = ((2,), (1, 1), (1, 1))
 NU36 = ((3,), (2, 1))
@@ -95,10 +94,8 @@ def test_labellings_match_the_filling_reference():
     pairs = 0
     for m in range(1, 5):
         layer = young_layer(m)
-        upper, lower = _incidence(layer)
         for n in range(5):
             for lam_sizes in compositions(n, (n,) * len(layer.upper)):
-                groups = []
                 for nu_sizes in compositions(n, (n,) * len(layer.lower)):
                     want = good_labellings_by_fillings(layer, lam_sizes,
                                                        nu_sizes)
@@ -107,14 +104,6 @@ def test_labellings_match_the_filling_reference():
                     assert [labels for labels, _ in got] == want, (
                         m, lam_sizes, nu_sizes)
                     pairs += 1
-                    if want:
-                        groups.append((nu_sizes, tuple(
-                            (_node_keys(upper, labels),
-                             _node_keys(lower, labels))
-                            for labels in want)))
-                # the memo's own enumerator, not an entry it holds
-                assert _labelling_groups.__wrapped__(m, lam_sizes) == \
-                    tuple(groups), (m, lam_sizes)
     assert pairs == 1666
 
 
@@ -136,22 +125,17 @@ def test_labelling_sum_matches_the_per_nu_definition():
     for m, lam, expected in cases:
         got = branch_first(m, lam, method="labellings")
         assert list(got.items()) == list(expected.items()), (m, lam)
-    # a shuffled order mixes the size compositions, so the bounded memo
-    # of labellings evicts entries and computes them again
+    # a shuffled order mixes the size compositions, so the memoised row
+    # fillings are met in another order
     random.Random(11).shuffle(cases)
-    _labelling_groups.cache_clear()
     for m, lam, expected in cases:
         got = branch_first(m, lam, method="labellings")
         assert list(got.items()) == list(expected.items()), (m, lam)
-    keys = {(m, size_composition(lam)) for m, lam, _ in cases}
-    info = _labelling_groups.cache_info()
-    assert len(keys) > info.maxsize
-    assert info.misses > len(keys)
 
 
 def test_good_labellings_are_a_fresh_list():
-    # the labelling sum reads memoised labellings; a caller that changes
-    # the exported function's list must not change a later answer
+    # the labelling sum reads memoised row fillings; a caller that
+    # changes the exported function's list must not change a later answer
     same_sizes = ((1, 1), (2,), (2,))
     before = [list(branch_first(3, lam, method="labellings").items())
               for lam in (LAM36, same_sizes)]
@@ -322,6 +306,20 @@ def test_dimension_identities_small():
     assert verify_dimensions("second", 2, 1)["failures"] == []
     with pytest.raises(ValueError):
         verify_dimensions("sideways", 2, 2)
+
+
+def test_dimension_identity_reports_a_dropped_row_filling(monkeypatch):
+    row_fillings = branching._row_fillings
+
+    def dropping_one(support_row, eta_i):
+        fillings = row_fillings(support_row, eta_i)
+        return fillings[:-1] if len(fillings) > 1 else fillings
+
+    monkeypatch.setattr(branching, "_row_fillings", dropping_one)
+    assert verify_dimensions("first", 3, 3)["failures"]
+    # both first-rule methods read the same row fillings, so
+    # labelling-equivalence no longer sees a row fault
+    assert verify_labelling_equivalence(3, 3)["failures"] == []
 
 
 def test_unknown_rule_raises_before_any_work():

@@ -1,10 +1,11 @@
 import itertools
 import sys
+from functools import cache
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from wreathbranch import branching, lr
+from wreathbranch import branching, lr, verify
 from wreathbranch.lr import lr_coefficient, lr_multi
 from wreathbranch.shapes import (conjugate, enumerate_partitions,
                                  specht_dimension)
@@ -297,12 +298,16 @@ def _semistandard_product(kappa, alpha):
 
 
 def test_checks_report_a_kernel_without_the_lattice_prune(monkeypatch):
-    for module in (lr, branching):
-        monkeypatch.setattr(module, "_lr_product", _semistandard_product)
+    # cached like the kernel, as the oracle suite calls it through
+    # __wrapped__
+    for module in (lr, branching, verify):
+        monkeypatch.setattr(module, "_lr_product",
+                            cache(_semistandard_product))
     branching._column_expansion.cache_clear()
     try:
         pairs, mismatches = _product_mismatches(3)
         report = verify_labelling_equivalence(4, 4)
+        oracle = verify_lr_oracle(3)
     finally:
         branching._column_expansion.cache_clear()
     # counting every semistandard tableau, the kernel sends s_() * s_(1,1)
@@ -312,6 +317,15 @@ def test_checks_report_a_kernel_without_the_lattice_prune(monkeypatch):
     # the labelling sum reads its coefficients from the LR walk, so the
     # two first-rule methods now disagree
     assert report["failures"]
+    # the oracle suite reports each of those pairs and still counts the
+    # coefficients of the walk, which all pass
+    assert oracle["checked"] == 43
+    assert oracle["failures"] == [
+        f"s_{kappa} * s_{alpha} = {_semistandard_product(kappa, alpha)}, "
+        f"oracle says {schur_product_oracle(kappa, alpha)}"
+        for kappa, alpha in mismatches]
+    assert oracle["failures"][0] == (
+        "s_() * s_(1, 1) = {(2,): 1, (1, 1): 1}, oracle says {(1, 1): 1}")
 
 
 def test_the_product_kernel_past_the_recursion_limit():
