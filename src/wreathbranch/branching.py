@@ -68,54 +68,32 @@ def good_labellings(m: int, lam: Multipartition,
         raise ValueError(f"nu must have {len(layer.lower)} components")
     nu = tuple(map(check_partition, nu))
     nu_sizes = size_composition(nu)
-    upper, lower = _incidence(layer)
+    # edge-size matrices: row i composes |lam_i| over upper node i's edges
+    rows = (compositions(s, [s * a for a in row])
+            for s, row in zip(size_composition(lam), layer.adjacency))
     out = []
-    for sizes in _size_matrices(layer, size_composition(lam)):
-        if tuple(map(sum, zip(*sizes))) == nu_sizes:
-            for labels in _labellings(layer, sizes):
-                coeff = _node_product(lam, _node_keys(upper, labels))
-                out.append((labels, coeff and coeff * _node_product(
-                    nu, _node_keys(lower, labels))))
+    for sizes in itertools.product(*rows):
+        if tuple(map(sum, zip(*sizes))) != nu_sizes:
+            continue
+        for labels in itertools.product(*(enumerate_partitions(sizes[i][j])
+                                          for i, j in layer.edges)):
+            upper, lower = [[] for _ in lam], [[] for _ in nu]
+            for (i, j), label in zip(layer.edges, labels):
+                upper[i].append(label)
+                lower[j].append(label)
+            coeff = prod(map(_lr_multi, lam, upper))
+            if coeff:
+                coeff *= prod(map(_lr_multi, nu, lower))
+            out.append((labels, coeff))
     return out
 
 
 # The entry points hold checked partitions, so they call the cores below.
 
-def _size_matrices(layer: YoungLayer, lam_sizes):
-    """Edge-size matrices above `lam_sizes`, row-major in `compositions` order.
-
-    Row i is a composition of lam_sizes[i], zero off adjacency row i.
-    """
-    return itertools.product(*(compositions(s, [s * a for a in row])
-                               for s, row in zip(lam_sizes, layer.adjacency)))
-
-
-def _labellings(layer: YoungLayer, sizes):
-    """The labellings with edge-size matrix `sizes`, aligned with the edges."""
-    return itertools.product(*(enumerate_partitions(sizes[i][j])
-                               for i, j in layer.edges))
-
-
-def _incidence(layer: YoungLayer):
-    """The indices of the edges at each upper node and at each lower node."""
-    upper = [[] for _ in layer.upper]
-    lower = [[] for _ in layer.lower]
-    for e, (i, j) in enumerate(layer.edges):
-        upper[i].append(e)
-        lower[j].append(e)
-    return upper, lower
-
-
-def _node_keys(incident, labels) -> tuple:
-    """Per node, its nonempty labels sorted: the `_lr_multi_sorted` key."""
-    return tuple(tuple(sorted([labels[e] for e in edges if labels[e]]))
-                 for edges in incident)
-
-
 def _node_product(parts: Multipartition, keys) -> int:
     """Product over nodes k of lr_multi(parts[k], labels at node k).
 
-    `keys` holds the labels at each node as `_node_keys` gives them.
+    keys[k] holds node k's nonempty labels sorted: a `_lr_multi_sorted` key.
     """
     coeff = 1
     for part, key in zip(parts, keys):
@@ -131,7 +109,7 @@ def _labelling_multiplicities(layer: YoungLayer, lam: Multipartition) -> dict:
     The labels at upper node i of a good labelling fill row i of the
     adjacency matrix, and its upper factor is that row's coefficient, so
     the labellings with a nonzero upper factor combine `_row_fillings`.
-    Labellings with equal lower keys (as `_node_keys` gives them) share
+    Labellings with equal lower keys (as `_node_product` takes them) share
     their lower factor, so their upper factors are summed first.  The
     keys come in the order of `multipartitions`.
     """

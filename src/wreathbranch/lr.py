@@ -37,9 +37,9 @@ def lr_multi(lam: Partition, parts) -> int:
     return _lr_multi(check_partition(lam), map(check_partition, parts))
 
 
-# The entry points check before the cached lookup, as True == 1 and both
-# hash alike.  The cores below do not check: their callers pass checked
-# or enumerated partitions.
+# The entry points check before `_lr_multi_sorted`'s cached lookup, as
+# True == 1 and both hash alike.  The cores below do not check: their
+# callers pass checked or enumerated partitions.
 
 def _lr_multi(lam: Partition, parts) -> int:
     """lr_multi without the entry check; () parts leave the key."""
@@ -47,7 +47,6 @@ def _lr_multi(lam: Partition, parts) -> int:
                             tuple(sorted(tuple(p) for p in parts if p)))
 
 
-@cache
 def _lr_coefficient(lam: Partition, alpha: Partition, beta: Partition) -> int:
     if sum(beta) != sum(lam) - sum(alpha) or not _in_window(lam, alpha, beta):
         return 0

@@ -21,8 +21,10 @@ from math import factorial
 from operator import itemgetter, mul
 from typing import Iterator
 
-from .branching import (_wreath_specht_dimension, branch_first,
-                        branch_second, wreath_specht_dimension)
+from .branching import (_check_lambda, _filtration_multiplicities,
+                        _labelling_multiplicities, _wreath_specht_dimension,
+                        branch_first, branch_second, wreath_specht_dimension,
+                        young_layer)
 from .lr import _lr_coefficient, _lr_product
 from .perms import Perm, double_coset_reps, rho_cosets, to_cycles
 from .shapes import (Composition, Partition, compositions,
@@ -32,7 +34,7 @@ from .shapes import (Composition, Partition, compositions,
 # the suites over all of S_n: brute_force_double_cosets labels all n!
 # permutations, and the stabilizer suite conjugates S_gamma by each of
 # them.  At n = 7, cosets take about 7 s and stabilizers about 30 s.
-SCHUR_ORACLE_BOUND = 14
+SCHUR_ORACLE_BOUND = 15
 ORACLE_BOUND = 7
 
 
@@ -438,11 +440,12 @@ def verify_labelling_equivalence(max_m: int = 4, max_n: int = 4) -> dict:
     checked = 0
     failures = []
     for m in range(2, max_m + 1):
-        r = len(enumerate_partitions(m))
+        layer = young_layer(m)
         for n in range(1, max_n + 1):
-            for lam in multipartitions(n, r):
-                via_mats = branch_first(m, lam, method="matrices")
-                via_labs = branch_first(m, lam, method="labellings")
+            for lam in multipartitions(n, len(layer.upper)):
+                lam = _check_lambda(m, lam)
+                via_mats = _filtration_multiplicities(layer.adjacency, lam)
+                via_labs = _labelling_multiplicities(layer, lam)
                 checked += 1
                 if via_mats != via_labs:
                     failures.append(f"m={m} lambda={lam}: "

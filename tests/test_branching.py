@@ -6,7 +6,7 @@ import pytest
 from helpers import (_column_map, cheapest_first_rule_requests,
                      filtration_multiplicities_by_loop,
                      good_labellings_by_fillings)
-from wreathbranch import branching
+from wreathbranch import branching, verify
 from wreathbranch.branching import (_column_expansion,
                                     _filtration_multiplicities, branch_first,
                                     branch_second, good_labellings,
@@ -222,8 +222,8 @@ def test_branch_first_small_cases():
     assert branch_first(2, ((1,), (1,))) == {((2,),): 1, ((1, 1),): 1}
     with pytest.raises(ValueError):
         branch_first(3, ((1,),))
-    with pytest.raises(ValueError):
-        branch_first(2, LAM36, method="nonsense")
+    with pytest.raises(ValueError, match="unknown method 'x'"):
+        branch_first(3, LAM36, method="x")
 
 
 def test_branch_second_examples():
@@ -320,6 +320,23 @@ def test_dimension_identity_reports_a_dropped_row_filling(monkeypatch):
     # both first-rule methods read the same row fillings, so
     # labelling-equivalence no longer sees a row fault
     assert verify_labelling_equivalence(3, 3)["failures"] == []
+
+
+def test_labelling_equivalence_reports_a_perturbed_labelling_sum(
+        monkeypatch):
+    # the suite calls the labelling core directly, so the fault is set
+    # where the suite looks it up
+    labelling_route = verify._labelling_multiplicities
+
+    def perturbed(layer, lam):
+        mults = labelling_route(layer, lam)
+        mults[next(iter(mults))] += 1
+        return mults
+
+    monkeypatch.setattr(verify, "_labelling_multiplicities", perturbed)
+    report = verify_labelling_equivalence(2, 2)
+    assert report["checked"] == 7
+    assert len(report["failures"]) == 7
 
 
 def test_unknown_rule_raises_before_any_work():

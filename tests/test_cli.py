@@ -277,6 +277,12 @@ def test_cosets(capsys):
     payload = json.loads(out)
     assert payload["count"] == 4
     assert len(payload["reps"]) == 4
+    # S_0 has one element, the identity
+    code, out, _ = run(capsys, "cosets", "--gamma", "()", "--alpha", "()",
+                       "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["count"], payload["reps"]) == (1, ["e"])
 
 
 def test_young_layer(capsys):
@@ -546,6 +552,23 @@ def test_bad_composition_syntax(capsys):
     assert json.loads(out)["status"] == "error"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("dim", "--partition", "[1,"), "bad partition syntax '[1,'"),
+    (("dim", "--partition", "[[1]]"), "bad partition '[[1]]'"),
+    (("branch-first", "-m", "2", "--lambda", "[[1],]"),
+     "bad multipartition syntax '[[1],]'"),
+    (("branch-first", "-m", "2", "--lambda", "[1,2]"),
+     "bad multipartition '[1,2]'"),
+    (("rho", "--sizes", "()"), "need a positive total size"),
+])
+def test_malformed_values_are_computation_errors(capsys, argv, message):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["code"] == "computation-error"
+    assert payload["message"].startswith(message)
+
+
 def test_output_is_deterministic(capsys):
     args = ("branch-first", "-m", "3", "--lambda", "[[2],[1,1],[1,1]]",
             "--json")
@@ -703,6 +726,8 @@ def test_branch_requests_leave_the_oracles_unimported():
 
 def test_verify_suites_match_the_oracles(capsys):
     assert cli.VERIFY_SUITES == tuple(sorted(verify.SUITES))
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suite("nope")
     with pytest.raises(SystemExit):
         cli.main(["verify", "--help"])
     assert "{" + ",".join(cli.VERIFY_SUITES) + "}" in capsys.readouterr().out

@@ -237,11 +237,7 @@ def test_lr_oracle_reports_a_window_that_drops_a_coefficient(monkeypatch):
     dropped = ((2, 1), (1,), (1, 1))
     monkeypatch.setattr(lr, "_in_window", lambda *triple: (
         triple != dropped and window(*triple)))
-    lr._lr_coefficient.cache_clear()
-    try:
-        report = verify_lr_oracle(3)
-    finally:
-        lr._lr_coefficient.cache_clear()
+    report = verify_lr_oracle(3)
     assert report["failures"] == ["c^(2, 1)_((1,),(1, 1)) = 0, oracle says 1"]
 
 
@@ -250,11 +246,7 @@ def test_lr_oracle_reports_a_walk_without_the_lattice_prune(monkeypatch):
     # tableau of shape lam/alpha and type beta
     monkeypatch.setattr(lr, "_lr_walk", lambda lam, alpha, beta: len(
         enumerate_skew_ssyt(lam, alpha, beta)))
-    lr._lr_coefficient.cache_clear()
-    try:
-        report = verify_lr_oracle(3)
-    finally:
-        lr._lr_coefficient.cache_clear()
+    report = verify_lr_oracle(3)
     assert report["failures"] == ["c^(2, 1)_((1,),(1, 1)) = 2, oracle says 1"]
 
 

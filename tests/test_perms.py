@@ -168,6 +168,8 @@ def test_brute_force_double_cosets_basics():
     assert brute_force_double_cosets((1, 1, 1), (2, 1))[1] == 3
     with pytest.raises(ValueError, match="oracle bound exceeded"):
         brute_force_double_cosets((8,), (8,))
+    with pytest.raises(ValueError, match="equal size"):
+        brute_force_double_cosets((2,), (1,))
 
 
 def _labels_as_sets(gamma, alpha):
