@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 computation error,
 3 verification failure.  Output is deterministic for a given input;
 ``--json`` replaces the human rendering with the JSON payload.
+A command-line run (`run`) ends in ``os._exit`` once stdout and stderr
+are flushed, so no heap teardown or ``atexit`` hook runs; `main` returns.
 
 Notation on the command line: partitions and multipartitions are JSON
 arrays (``[2,1]``, ``[[2],[1,1],[1,1]]``); compositions are
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 
@@ -308,5 +311,16 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """`main` as a process: flush the output, then exit without teardown."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # the interpreter reports it when it flushes at exit
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import re
@@ -397,7 +398,7 @@ def test_command_help_usage(capsys, monkeypatch, command):
         USAGE[command])
 
 
-@pytest.mark.parametrize("argv, message", [
+USAGE_ERRORS = [
     (("frobnicate",),
      "argument command: invalid choice: 'frobnicate' (choose from "
      "'partitions', 'dim', 'lr', 'lr-multi', 'young-layer', 'labellings', "
@@ -406,7 +407,10 @@ def test_command_help_usage(capsys, monkeypatch, command):
     ((), "the following arguments are required: command"),
     (("lr", "--lambda", "[1]"),
      "the following arguments are required: --alpha, --beta"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
 def test_usage_error_text(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"usage error: {message}\n")
 
@@ -690,14 +694,106 @@ def test_method_disagreement(capsys, monkeypatch):
     assert out == "methods disagree\n"
 
 
-def _fresh_python(*args):
-    """Run the package's interpreter on `args` in a new process."""
+def _fresh_python(*args, **overrides):
+    """Run the package's interpreter on `args` in a new process.
+
+    Keywords set environment variables of the child; None unsets one.
+    """
     src = str(Path(wreathbranch.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
-               PYTHONPATH=src + os.pathsep + path if path else src)
+               PYTHONPATH=src + os.pathsep + path if path else src,
+               **overrides)
+    env = {name: value for name, value in env.items() if value is not None}
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, timeout=120)
+
+
+def _fresh_cli(*args, **env):
+    """`python -m wreathbranch.cli` on `args`, stdout block-buffered."""
+    return _fresh_python("-m", "wreathbranch.cli", *args,
+                         PYTHONUNBUFFERED=None, **env)
+
+
+def test_fresh_process_prints_the_whole_buffered_answer():
+    # stdout into a pipe is block-buffered, so the final newline of the
+    # answer is still in the buffer when os._exit would end the process
+    argv = _M5 + ("--json",)
+    proc = _fresh_cli(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    data = proc.stdout.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == PINNED_DIGEST[argv]
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (USAGE_ERRORS[0][0], 1, "", f"usage error: {USAGE_ERRORS[0][1]}\n"),
+    (("dim", "--partition", "[1,2]", "--json"), 2,
+     PINNED_STDOUT[("dim", "--partition", "[1,2]", "--json")], ""),
+], ids=["usage-error", "computation-error"])
+def test_fresh_process_exit_codes(argv, code, out, err):
+    proc = _fresh_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_fresh_process_verification_failure():
+    # the labelling route of --method both is raised by 1 on one entry
+    script = ("import sys\n"
+              "from wreathbranch import branching, cli\n"
+              "route = branching._labelling_multiplicities\n"
+              "def perturbed(layer, lam):\n"
+              "    mults = route(layer, lam)\n"
+              "    mults[next(iter(mults))] += 1\n"
+              "    return mults\n"
+              "branching._labelling_multiplicities = perturbed\n"
+              "sys.argv[1:] = ['branch-first', '-m', '3', '--lambda',\n"
+              "                '[[2],[1,1],[1,1]]', '--method', 'both']\n"
+              "cli.run()\n")
+    proc = _fresh_python("-c", script, PYTHONUNBUFFERED=None)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "methods disagree\n", "")
+
+
+def test_fresh_process_help_matches_in_process(capsys, monkeypatch):
+    proc = _fresh_cli("--help", COLUMNS="80")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, _help(capsys, monkeypatch), "")
+
+
+def test_main_block_skips_atexit_hooks():
+    # `python -m wreathbranch.cli` ends in os._exit, so a hook that other
+    # code registered in the process does not run
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(print, 'atexit hook ran')\n"
+              "sys.argv[1:] = ['dim', '--partition', '[3,2]']\n"
+              "runpy.run_module('wreathbranch.cli', run_name='__main__')\n")
+    proc = _fresh_python("-c", script, PYTHONUNBUFFERED=None)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5\n", "")
+
+
+def test_run_exits_hard_with_the_code_of_main(capsys, monkeypatch):
+    exits = []
+    monkeypatch.setattr(sys, "argv", ["wreathbranch", "dim",
+                                      "--partition", "[3,2]"])
+    monkeypatch.setattr(os, "_exit", lambda code: exits.append(
+        (code, capsys.readouterr().out)))
+    cli.run()
+    assert exits == [(0, "5\n")]
+
+
+def test_run_leaves_a_failed_flush_to_the_interpreter(monkeypatch):
+    class BrokenPipe(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    stdout = BrokenPipe()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "argv", ["wreathbranch", "dim",
+                                      "--partition", "[1,2]"])
+    monkeypatch.setattr(os, "_exit", lambda code: pytest.fail("os._exit"))
+    with pytest.raises(SystemExit) as stop:
+        cli.run()
+    assert stop.value.code == 2
+    assert json.loads(stdout.getvalue())["code"] == "computation-error"
 
 
 def test_branch_requests_leave_the_oracles_unimported():

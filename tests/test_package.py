@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,17 @@ def test_lr_internals_are_not_exported():
                  "reverse_reading_word"):
         assert name not in wreathbranch.__all__
         assert not any(hasattr(module, name) for module in modules)
+
+
+def test_console_script_runs_the_cli_entry():
+    # pyproject.toml is read as text, since Python 3.10 has no tomllib
+    text = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    module, name = re.fullmatch(r'wreathbranch = "([\w.]+):(\w+)"\n*',
+                                scripts).groups()
+    assert module == "wreathbranch.cli"
+    cli = importlib.import_module(module)
+    assert getattr(cli, name) is cli.run
 
 
 def referenced_names(skip) -> set:
