@@ -42,6 +42,8 @@ def double_coset_reps(gamma: Composition,
     One representative per weakly-increasing-row filling of shape alpha
     and type gamma: the stable permutation carrying the standard filling
     onto that filling, i.e. the box positions sorted stably by entry.
+    Each is the least element of its double coset, as the `cosets`
+    suite checks.
     """
     gamma = check_composition(gamma)
     alpha = check_composition(alpha)
@@ -59,7 +61,8 @@ def rho_cosets(sizes: Composition) -> list[tuple[int, Perm]]:
     of sizes up to i, the representative is the cycle
     (b, n, n-1, ..., b+1): it sends b to n and each of b+1, ..., n one
     down, so it is the identity when b = n.  Returns the pairs (i, rep)
-    with i ascending; the reps are pairwise distinct.
+    with i ascending; each rep is the least element of its double coset,
+    which the `cosets` suite checks.
     """
     sizes = check_composition(sizes)
     n = sum(sizes)

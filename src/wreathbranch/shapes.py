@@ -138,16 +138,25 @@ def compositions(n: int, caps):
     """Yield the compositions a of n with 0 <= a[i] <= caps[i].
 
     There is one part per cap.  Order: lexicographic with the first
-    part largest first.
+    part largest first.  One loop, so there may be any number of caps.
     """
-    if not caps:
-        if n == 0:
-            yield ()
-        return
-    head, rest = caps[0], caps[1:]
-    for first in range(min(n, head), max(0, n - sum(rest)) - 1, -1):
-        for tail in compositions(n - first, rest):
-            yield (first,) + tail
+    caps = tuple(caps)
+    # room[i]: the most boxes parts i.. can hold
+    room = list(itertools.accumulate(reversed(caps), initial=0))[::-1]
+    parts, i, rest = [0] * len(caps), 0, n  # parts i.. are to hold rest
+    while 0 <= rest <= room[i]:
+        for j in range(i, len(caps)):  # greedily, so the largest first
+            parts[j] = caps[j] if caps[j] < rest else rest
+            rest -= parts[j]
+        yield tuple(parts)
+        # the last part that can give a box to the parts after it
+        i = len(caps)
+        while i and not (parts[i - 1] and rest < room[i]):
+            i -= 1
+            rest += parts[i]
+        if i:
+            parts[i - 1] -= 1
+        rest = rest + 1 if i else -1  # -1: no part can, so stop
 
 
 def fillings(row_sums, col_sums) -> list[tuple[int, ...]]:

@@ -226,6 +226,16 @@ def test_branch_first_small_cases():
         branch_first(3, LAM36, method="x")
 
 
+def test_branch_first_over_a_layer_of_a_thousand_nodes():
+    # young_layer(23) has p(22) = 1,002 lower nodes; the compositions
+    # over them are one loop, so a one-box lambda needs no deep stack
+    layer = young_layer(23)
+    lam = ((1,),) + ((),) * (len(layer.upper) - 1)
+    want = {((1,),) + ((),) * (len(layer.lower) - 1): 1}
+    assert branch_first(23, lam) == want
+    assert branch_first(23, lam, method="labellings") == want
+
+
 def test_branch_second_examples():
     assert branch_second(3, ((1,), (1,), ())) == {
         ((), (1,), ()): 1,

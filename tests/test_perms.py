@@ -162,10 +162,10 @@ def test_compositions_are_validated():
 
 def test_brute_force_double_cosets_basics():
     for n in range(1, 6):
-        owner, count = brute_force_double_cosets((n,), (n,))
-        assert count == 1 and owner == [0] * math.factorial(n)
-    assert brute_force_double_cosets((1, 1, 1), (3,))[1] == 1
-    assert brute_force_double_cosets((1, 1, 1), (2, 1))[1] == 3
+        owner, least = brute_force_double_cosets((n,), (n,))
+        assert len(least) == 1 and owner == [0] * math.factorial(n)
+    assert len(brute_force_double_cosets((1, 1, 1), (3,))[1]) == 1
+    assert len(brute_force_double_cosets((1, 1, 1), (2, 1))[1]) == 3
     with pytest.raises(ValueError, match="oracle bound exceeded"):
         brute_force_double_cosets((8,), (8,))
     with pytest.raises(ValueError, match="equal size"):
@@ -174,10 +174,11 @@ def test_brute_force_double_cosets_basics():
 
 def _labels_as_sets(gamma, alpha):
     """The double cosets of the label form as sets, in label order."""
-    owner, count = brute_force_double_cosets(gamma, alpha)
+    owner, least = brute_force_double_cosets(gamma, alpha)
     perms = _indexed_symmetric_group(sum(gamma))[0]
     assert len(owner) == len(perms)
-    cosets = [set() for _ in range(count)]
+    assert least == [owner.index(k) for k in range(len(least))]
+    cosets = [set() for _ in range(len(least))]
     for p, k in zip(perms, owner):
         cosets[k].add(p)
     return [frozenset(c) for c in cosets]
@@ -260,7 +261,8 @@ def test_coset_suite_catches_wrong_representatives(monkeypatch, fault):
                         lambda gamma, alpha: fault(reps(gamma, alpha)))
     report = verify.verify_cosets(4)
     assert report["checked"] == 101
-    assert any(" reps hit " in f for f in report["failures"])
+    assert any(" reps are not the least elements " in f
+               for f in report["failures"])
 
 
 def test_coset_suite_catches_a_repeated_rho_rep(monkeypatch):
@@ -273,7 +275,45 @@ def test_coset_suite_catches_a_repeated_rho_rep(monkeypatch):
 
     monkeypatch.setattr(verify, "rho_cosets", identity_twice)
     failures = verify.verify_cosets(4)["failures"]
-    assert any(f.startswith("rho reps for sizes") for f in failures)
+    assert any(f.startswith("rho reps for sizes") and
+               " reps are not the least elements " in f for f in failures)
+
+
+def test_coset_suite_catches_a_representative_that_is_not_least(monkeypatch):
+    # s * d with s = (1, 2) in S_gamma lies in the double coset of d but
+    # is one inversion longer, so it still hits a double coset of its own
+    reps = verify.double_coset_reps
+
+    def lengthened(gamma, alpha):
+        out = reps(gamma, alpha)
+        if gamma[0] < 2:
+            return out
+        return out[:-1] + (compose(_transposition(1, sum(gamma)), out[-1]),)
+
+    monkeypatch.setattr(verify, "double_coset_reps", lengthened)
+    report = verify.verify_cosets(4)
+    assert report["checked"] == 101
+    # one failure per pair with gamma_1 >= 2: 2 + 8 + 32 for n = 2, 3, 4
+    assert len(report["failures"]) == 42
+    assert all(" reps are not the least elements " in f
+               for f in report["failures"])
+
+
+def test_least_elements_are_the_unique_shortest():
+    # the suite's least element of a double coset is the paper's
+    # distinguished representative: no other element is as short
+    total = 0
+    for n in range(1, 7):
+        lengths = list(map(length, _indexed_symmetric_group(n)[0]))
+        comps = list(positive_compositions(n))
+        for gamma in comps:
+            for alpha in comps:
+                owner, least = brute_force_double_cosets(gamma, alpha)
+                as_short = Counter(k for k, ell in zip(owner, lengths)
+                                   if ell <= lengths[least[k]])
+                assert as_short == Counter(range(len(least)))
+                total += len(least)
+    assert total == 40558
 
 
 def _cross_block_transposition(gamma):

@@ -104,7 +104,7 @@ def test_specht_dimension_checks_before_the_cache():
 @pytest.mark.parametrize("caps", [(), (0,), (3,), (0, 0), (2, 0, 3),
                                   (1, 1, 1, 1), (4, 2), (0, 3, 0, 2, 1)])
 def test_compositions_against_a_product_filter(caps):
-    for n in range(sum(caps) + 2):
+    for n in range(-1, sum(caps) + 2):
         want = [a for a in itertools.product(*(range(c + 1) for c in caps))
                 if sum(a) == n]
         # first part largest first: the reverse of the product's order
@@ -174,3 +174,6 @@ def test_multipartitions_enumeration():
                         ((), (2,)), ((), (1, 1))}
     assert len(mps) == len(set(mps))
     assert list(multipartitions(0, 3)) == [((), (), ())]
+    # compositions is one loop, so more components than the recursion
+    # limit need no deeper stack
+    assert len(list(multipartitions(1, 1200))) == 1200
