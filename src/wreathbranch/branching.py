@@ -27,8 +27,9 @@ from .shapes import (Multipartition, Partition, _removable_boxes,
 _row_of, _coeff_of = itemgetter(0), itemgetter(1)
 
 
-# edges are 0-based (upper index, lower index) pairs
-YoungLayer = namedtuple("YoungLayer", "m upper lower edges adjacency")
+# edges are 0-based (upper index, lower index) pairs, each upper node's in
+# falling lower index; below[i] holds upper node i's lower indices rising
+YoungLayer = namedtuple("YoungLayer", "m upper lower edges below")
 YoungLayer.__doc__ = ("Partitions of m and m-1 with the one-box-removal "
                       "edges between them.")
 
@@ -42,11 +43,10 @@ def young_layer(m: int) -> YoungLayer:
     edges = tuple((i, index[q])
                   for i, p in enumerate(upper)
                   for q in removable_boxes(p))
-    edge_set = set(edges)
-    adjacency = tuple(tuple(1 if (i, j) in edge_set else 0
-                            for j in range(len(lower)))
-                      for i in range(len(upper)))
-    return YoungLayer(m, upper, lower, edges, adjacency)
+    below = [() for _ in upper]
+    for i, j in edges:
+        below[i] = (j,) + below[i]
+    return YoungLayer(m, upper, lower, edges, tuple(below))
 
 
 def good_labellings(m: int, lam: Multipartition,
@@ -68,15 +68,19 @@ def good_labellings(m: int, lam: Multipartition,
         raise ValueError(f"nu must have {len(layer.lower)} components")
     nu = tuple(map(check_partition, nu))
     nu_sizes = size_composition(nu)
-    # edge-size matrices: row i composes |lam_i| over upper node i's edges
-    rows = (compositions(s, [s * a for a in row])
-            for s, row in zip(size_composition(lam), layer.adjacency))
+    # node i composes |lam_i| over below[i]; reversed, over its edges
+    rows = (compositions(s, (s,) * len(js))
+            for s, js in zip(size_composition(lam), layer.below))
     out = []
     for sizes in itertools.product(*rows):
-        if tuple(map(sum, zip(*sizes))) != nu_sizes:
+        edge_sizes = [k for row in sizes for k in reversed(row)]
+        lower_sizes = [0] * len(nu)
+        for (_, j), k in zip(layer.edges, edge_sizes):
+            lower_sizes[j] += k
+        if tuple(lower_sizes) != nu_sizes:
             continue
-        for labels in itertools.product(*(enumerate_partitions(sizes[i][j])
-                                          for i, j in layer.edges)):
+        for labels in itertools.product(*map(enumerate_partitions,
+                                             edge_sizes)):
             upper, lower = [[] for _ in lam], [[] for _ in nu]
             for (i, j), label in zip(layer.edges, labels):
                 upper[i].append(label)
@@ -104,17 +108,19 @@ def _node_product(parts: Multipartition, keys) -> int:
 
 
 def _labelling_multiplicities(layer: YoungLayer, lam: Multipartition) -> dict:
-    """The multiplicity map of the good-labelling sum.
+    """The multiplicity map of the good-labelling sum, for n >= 1.
 
-    The labels at upper node i of a good labelling fill row i of the
-    adjacency matrix, and its upper factor is that row's coefficient, so
-    the labellings with a nonzero upper factor combine `_row_fillings`.
+    The labels at upper node i of a good labelling fill row i, and its
+    upper factor is that row's coefficient, so the labellings with a
+    nonzero upper factor combine the nonempty rows' `_row_fillings`.
     Labellings with equal lower keys (as `_node_product` takes them) share
     their lower factor, so their upper factors are summed first.  The
     keys come in the order of `multipartitions`.
     """
+    per_row = [_row_fillings(js, len(layer.lower), part)
+               for js, part in zip(layer.below, lam) if part]
     groups: dict[tuple, dict] = {}  # nu sizes -> {lower keys: coeff}
-    for combo in itertools.product(*map(_row_fillings, layer.adjacency, lam)):
+    for combo in itertools.product(*per_row):
         keys = tuple(tuple(sorted([p for p in column if p]))
                      for column in zip(*map(_row_of, combo)))
         nu_sizes = tuple(sum(map(sum, key)) for key in keys)
@@ -131,16 +137,16 @@ def _labelling_multiplicities(layer: YoungLayer, lam: Multipartition) -> dict:
 
 
 @cache
-def _row_fillings(support_row, eta_i: Partition) -> tuple:
+def _row_fillings(support, width: int, eta_i: Partition) -> tuple:
     """Fillings of one row that have a nonzero row LR coefficient.
 
-    Pairs (row, coeff): row holds one partition per column, () off the
-    support, with sizes summing to |eta_i|, and coeff is
-    lr_multi(eta_i, row).  Memoised, as every lambda that puts eta_i on
-    a row with this support shares them.
+    Pairs (row, coeff): row holds one partition per lower node (`width`),
+    () off `support` (a node's `below`), with sizes summing to |eta_i|,
+    and coeff is lr_multi(eta_i, row).  Memoised, as every lambda that
+    puts eta_i on a node with this support shares them.
     """
     n = sum(eta_i)
-    caps = tuple(n if a else 0 for a in support_row)
+    caps = [n if j in support else 0 for j in range(width)]
     out = []
     for sizes in compositions(n, caps):
         for row in itertools.product(*map(enumerate_partitions, sizes)):
@@ -150,19 +156,18 @@ def _row_fillings(support_row, eta_i: Partition) -> tuple:
     return tuple(out)
 
 
-def _filtration_multiplicities(A, eta: Multipartition) -> dict:
-    """The multiplicity map of the matrix-sum formula.
+def _filtration_multiplicities(layer: YoungLayer, eta: Multipartition) -> dict:
+    """The multiplicity map of the matrix-sum formula, for n >= 1.
 
-    A is a 0/1 matrix of tuples with one row per component of eta.  For
-    each multipartition nu with one component per column of A, sums over
-    the fillings of A by partitions (one per support entry, () off it)
-    the product of row coefficients lr_multi(eta^i, R_i) and column
-    coefficients lr_multi(nu^j, C_j).  Zero entries are omitted.
+    A filling puts a partition on each edge: row i holds upper node i's,
+    () off `below[i]`, and column j lower node j's.  For each nu with one
+    component per lower node, sums over the fillings the product of row
+    coefficients lr_multi(eta^i, R_i) and column coefficients
+    lr_multi(nu^j, C_j).  An empty eta^i has one row, all (), at
+    coefficient 1, so only the nonempty rows are combined.
     """
-    # a row with an empty eta_i has one filling, all (), at coefficient 1
-    per_row = [_row_fillings(row, part) for row, part in zip(A, eta) if part]
-    if not per_row:
-        return {((),) * (len(A[0]) if A else 0): 1}
+    per_row = [_row_fillings(js, len(layer.lower), part)
+               for js, part in zip(layer.below, eta) if part]
     # No zero filter: every term is a product of positive LR coefficients
     # (row fillings and column tables keep nonzero ones only), so no
     # entry of the sum is zero.
@@ -212,13 +217,15 @@ def branch_first(m: int, lam: Multipartition, method: str = "matrices") -> dict:
     multiplicities.  ``method`` selects the matrix-sum formula or the
     good-labelling sum; both give the same map.
     """
+    if method not in ("matrices", "labellings"):
+        raise ValueError(f"unknown method {method!r}")
     lam = _check_lambda(m, lam)
     layer = young_layer(m)
+    if not any(lam):  # n = 0: both methods give the one nu, all ()
+        return {((),) * len(layer.lower): 1}
     if method == "matrices":
-        return _filtration_multiplicities(layer.adjacency, lam)
-    if method == "labellings":
-        return _labelling_multiplicities(layer, lam)
-    raise ValueError(f"unknown method {method!r}")
+        return _filtration_multiplicities(layer, lam)
+    return _labelling_multiplicities(layer, lam)
 
 
 def wreath_specht_dimension(m: int, lam: Multipartition) -> int:

@@ -156,7 +156,8 @@ def _young_layer(args) -> tuple[dict, int]:
     return {"m": layer.m, "upper": layer.upper, "lower": layer.lower,
             "edges": [{"upper": i + 1, "lower": j + 1}
                       for i, j in layer.edges],
-            "adjacency": layer.adjacency}, 0
+            "adjacency": [[int(j in js) for j in range(len(layer.lower))]
+                          for js in layer.below]}, 0
 
 
 def _labellings(args) -> tuple[dict, int]:

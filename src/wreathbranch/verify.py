@@ -427,7 +427,7 @@ def verify_labelling_equivalence(max_m: int = 4, max_n: int = 4) -> dict:
         for n in range(1, max_n + 1):
             for lam in multipartitions(n, len(layer.upper)):
                 lam = _check_lambda(m, lam)
-                via_mats = _filtration_multiplicities(layer.adjacency, lam)
+                via_mats = _filtration_multiplicities(layer, lam)
                 via_labs = _labelling_multiplicities(layer, lam)
                 checked += 1
                 if via_mats != via_labs:

@@ -209,6 +209,13 @@ def reshape(flat, shape):
     return tuple(rows)
 
 
+def adjacency_of(layer) -> tuple[tuple[int, ...], ...]:
+    """The layer's dense 0/1 matrix: entry (i, j) is 1 iff (i, j) is an edge."""
+    edges = set(layer.edges)
+    return tuple(tuple(int((i, j) in edges) for j in range(len(layer.lower)))
+                 for i in range(len(layer.upper)))
+
+
 def fillings_by_filter(support, row_sums, col_sums):
     """Weakly increasing row fillings with the given margins, by filtering.
 
@@ -233,12 +240,12 @@ def good_labellings_by_fillings(layer, lam_sizes, nu_sizes):
 
     The reference for the size-matrix enumerator of ``branching``: the
     (row, entry) counts of each filling supported on the layer's
-    adjacency are the edge sizes of the labellings, which take every
-    partition of each size, in edge order.
+    adjacency matrix are the edge sizes of the labellings, which take
+    every partition of each size, in edge order.
     """
     box_rows = [i for i, size in enumerate(lam_sizes) for _ in range(size)]
     out = []
-    for flat in fillings_by_filter(layer.adjacency, lam_sizes, nu_sizes):
+    for flat in fillings_by_filter(adjacency_of(layer), lam_sizes, nu_sizes):
         sizes = Counter(zip(box_rows, flat))
         out.extend(itertools.product(*(enumerate_partitions(sizes[e])
                                        for e in layer.edges)))

@@ -1,13 +1,19 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from helpers import (_column_map, cheapest_first_rule_requests,
+import wreathbranch
+from helpers import (_column_map, adjacency_of, cheapest_first_rule_requests,
                      filtration_multiplicities_by_loop,
                      good_labellings_by_fillings)
 from wreathbranch import branching, verify
-from wreathbranch.branching import (_column_expansion,
+from wreathbranch.branching import (YoungLayer, _column_expansion,
                                     _filtration_multiplicities, branch_first,
                                     branch_second, good_labellings,
                                     wreath_specht_dimension, young_layer)
@@ -26,7 +32,19 @@ def test_young_layer_m3():
     assert layer.upper == ((3,), (2, 1), (1, 1, 1))
     assert layer.lower == ((2,), (1, 1))
     assert set(layer.edges) == {(0, 0), (1, 0), (1, 1), (2, 1)}
-    assert layer.adjacency == ((1, 0), (1, 1), (0, 1))
+    assert adjacency_of(layer) == ((1, 0), (1, 1), (0, 1))
+    assert layer.below == ((0,), (0, 1), (1,))
+
+
+def test_young_layer_edges_fall_and_below_rises():
+    # good_labellings reverses each below[i] to get node i's edge sizes
+    for m in range(1, 9):
+        layer = young_layer(m)
+        for i, js in enumerate(layer.below):
+            falling = [j for a, j in layer.edges if a == i]
+            assert falling == sorted(falling, reverse=True), (m, i)
+            assert js == tuple(reversed(falling)), (m, i)
+        assert [i for i, _ in layer.edges] == sorted(i for i, _ in layer.edges)
 
 
 def test_young_layer_edges_match_removable_boxes():
@@ -154,10 +172,12 @@ def test_good_labellings_are_a_fresh_list():
 def test_filtration_sum_matches_the_plain_loop():
     # the production loop skips empty rows, keys one table per column and
     # drops no zeros; the reference loops over every row and filters
+    # n = 0 is answered by branch_first before the core, so it is the
+    # entry point that is checked
     def check(m, lam):
-        A = young_layer(m).adjacency
-        got = _filtration_multiplicities(A, lam)
-        want = filtration_multiplicities_by_loop(A, lam)
+        got = branch_first(m, lam)
+        want = filtration_multiplicities_by_loop(adjacency_of(young_layer(m)),
+                                                 lam)
         assert list(got.items()) == list(want.items()), (m, lam)
         assert all(v > 0 for v in got.values()), (m, lam)
 
@@ -195,18 +215,40 @@ def test_column_expansion_matches_the_scan():
     assert columns == 1840
 
 
-def test_filtration_without_nonempty_rows():
-    # every row empty: the one filling is all (), so nu is all ()
-    assert _filtration_multiplicities(((1, 0), (1, 1)), ((), ())) == {
-        ((), ()): 1}
-    assert _filtration_multiplicities(((), ()), ((), ())) == {(): 1}
-    assert _filtration_multiplicities((), ()) == {(): 1}
+def _layer_of(A):
+    """A layer whose dense 0/1 matrix is A, with placeholder nodes."""
+    edges = tuple((i, j) for i, row in enumerate(A)
+                  for j in reversed(range(len(row))) if row[j])
+    below = tuple(tuple(j for j, a in enumerate(row) if a) for row in A)
+    layer = YoungLayer(0, (None,) * len(A), (None,) * (len(A[0]) if A else 0),
+                       edges, below)
+    assert adjacency_of(layer) == A
+    return layer
+
+
+def test_filtration_without_nonempty_rows(monkeypatch):
+    # every row empty: the one filling is all (), so nu is all ();
+    # branch_first answers this n = 0 case for both methods, before the
+    # cores, so it is asked here of the layer given by each matrix
+    for A, want in ((((1, 0), (1, 1)), {((), ()): 1}),
+                    (((), ()), {(): 1})):
+        layer = _layer_of(A)
+        monkeypatch.setattr(branching, "young_layer", lambda m: layer)
+        for method in ("matrices", "labellings"):
+            assert branch_first(2, ((), ()), method=method) == want
+    monkeypatch.undo()
+    # no lambda has zero components, so the smallest layer stands in for
+    # the empty matrix
+    assert adjacency_of(young_layer(1)) == ((1,),)
+    for method in ("matrices", "labellings"):
+        assert branch_first(1, ((),), method=method) == {((),): 1}
     # a nonempty row with no support has no filling
-    assert _filtration_multiplicities(((0, 0), (1, 1)), ((1,), ())) == {}
+    assert _filtration_multiplicities(_layer_of(((0, 0), (1, 1))),
+                                      ((1,), ())) == {}
 
 
 def test_filtration_identity_matrix():
-    eye = ((1, 0), (0, 1))
+    eye = _layer_of(((1, 0), (0, 1)))
     for eta in [((2,), (1,)), ((1, 1), ()), ((3, 1), (2, 2))]:
         assert _filtration_multiplicities(eye, eta) == {eta: 1}
 
@@ -224,6 +266,71 @@ def test_branch_first_small_cases():
         branch_first(3, ((1,),))
     with pytest.raises(ValueError, match="unknown method 'x'"):
         branch_first(3, LAM36, method="x")
+
+
+def test_unknown_method_raises_before_any_work(monkeypatch):
+    def unreachable(m):
+        raise AssertionError("young_layer reached")
+
+    monkeypatch.setattr(branching, "young_layer", unreachable)
+    lam = ((1,),) + ((),) * (len(enumerate_partitions(30)) - 1)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        branch_first(30, lam, method="bogus")
+
+
+@pytest.mark.parametrize("method", ["matrices", "labellings"])
+def test_empty_components_build_no_row_fillings(method):
+    # only the one nonempty component of lambda has row fillings to
+    # combine; an empty one would cost one memo entry per upper node
+    lam = ((1,),) + ((),) * (len(enumerate_partitions(23)) - 1)
+    branching._row_fillings.cache_clear()
+    branch_first(23, lam, method=method)
+    assert branching._row_fillings.cache_info().misses == 1
+
+
+_LARGE_M = """import json, resource, time
+from wreathbranch import branching
+from wreathbranch.shapes import enumerate_partitions
+m, mu = 30, (8, 6, 5, 4, 3, 2, 1, 1)  # mu has 7 removable boxes
+lam = [()] * len(enumerate_partitions(m))
+lam[enumerate_partitions(m).index(mu)] = (1,)
+lam = tuple(lam)
+seconds = []
+def timed(call, *args, **kwargs):
+    start = time.process_time()
+    out = call(*args, **kwargs)
+    seconds.append(time.process_time() - start)
+    return out
+mats = timed(branching.branch_first, m, lam)
+labs = timed(branching.branch_first, m, lam, method="labellings")
+totals = [sum(c for _, c in timed(branching.good_labellings, m, lam, nu))
+          for nu in mats]
+print(json.dumps({
+    "seconds": seconds,
+    "rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "nus": len(mats), "same": labs == mats,
+    "totals": totals == list(mats.values()),
+    "dims": sum(c * branching.wreath_specht_dimension(m - 1, nu)
+                for nu, c in mats.items())
+            == branching.wreath_specht_dimension(m, lam)}))
+"""
+
+
+def test_one_box_lambda_at_m30_is_fast_and_small_in_a_fresh_process():
+    # the layer has p(30) = 5,604 upper and p(29) = 4,565 lower nodes but
+    # only 23,025 edges; work and memory follow the edges
+    src = str(Path(wreathbranch.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-c", _LARGE_M], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert (report["nus"], report["same"], report["totals"],
+            report["dims"]) == (7, True, True, True)
+    assert len(report["seconds"]) == 9
+    assert max(report["seconds"]) < 1.0, report["seconds"]
+    assert report["rss_kib"] < 64 * 1024, report["rss_kib"]
 
 
 def test_branch_first_over_a_layer_of_a_thousand_nodes():
@@ -321,8 +428,8 @@ def test_dimension_identities_small():
 def test_dimension_identity_reports_a_dropped_row_filling(monkeypatch):
     row_fillings = branching._row_fillings
 
-    def dropping_one(support_row, eta_i):
-        fillings = row_fillings(support_row, eta_i)
+    def dropping_one(support, width, eta_i):
+        fillings = row_fillings(support, width, eta_i)
         return fillings[:-1] if len(fillings) > 1 else fillings
 
     monkeypatch.setattr(branching, "_row_fillings", dropping_one)

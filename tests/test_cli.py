@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wreathbranch
-from helpers import (branch_human, branch_payload,
+from helpers import (adjacency_of, branch_human, branch_payload,
                      cheapest_first_rule_requests, concat_parts,
                      labellings_payload)
 from wreathbranch import branching, cli, verify
@@ -292,6 +292,14 @@ def test_young_layer(capsys):
     payload = json.loads(out)
     assert payload["upper"] == [[3], [2, 1], [1, 1, 1]]
     assert payload["lower"] == [[2], [1, 1]]
+
+
+def test_young_layer_prints_the_dense_matrix_of_the_edges(capsys):
+    for m in range(1, 7):
+        code, out, _ = run(capsys, "young-layer", str(m), "--json")
+        assert code == 0
+        assert json.loads(out)["adjacency"] == [
+            list(row) for row in adjacency_of(branching.young_layer(m))]
 
 
 def test_labellings_worked_example(capsys):
