@@ -4,8 +4,8 @@ from .branching import (YoungLayer, branch_first, branch_second,
                         good_labellings, wreath_specht_dimension, young_layer)
 from .lr import lr_coefficient, lr_multi
 from .perms import double_coset_reps, rho_cosets
-from .shapes import (enumerate_partitions, multipartitions, removable_boxes,
-                     size_composition, specht_dimension)
+from .shapes import (enumerate_partitions, multipartitions, size_composition,
+                     specht_dimension)
 
 __all__ = [
     "YoungLayer", "branch_first", "branch_second", "good_labellings",
@@ -13,6 +13,6 @@ __all__ = [
     "lr_coefficient", "lr_multi",
     "double_coset_reps", "rho_cosets",
     "enumerate_partitions", "multipartitions",
-    "removable_boxes", "size_composition", "specht_dimension",
+    "size_composition", "specht_dimension",
 ]
 __version__ = "0.1.0"

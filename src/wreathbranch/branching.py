@@ -18,8 +18,7 @@ from operator import itemgetter
 from .lr import _lr_multi, _lr_multi_sorted, _lr_product
 from .shapes import (Multipartition, Partition, _removable_boxes,
                      _specht_dimension, check_count, check_partition,
-                     compositions, enumerate_partitions, removable_boxes,
-                     size_composition)
+                     compositions, enumerate_partitions, size_composition)
 
 # A multipartition matrix is a tuple of rows; each row holds one
 # partition per column.  A multiplicity map is a dict multipartition ->
@@ -42,7 +41,7 @@ def young_layer(m: int) -> YoungLayer:
     index = {p: j for j, p in enumerate(lower)}
     edges = tuple((i, index[q])
                   for i, p in enumerate(upper)
-                  for q in removable_boxes(p))
+                  for q in _removable_boxes(p))
     below = [() for _ in upper]
     for i, j in edges:
         below[i] = (j,) + below[i]

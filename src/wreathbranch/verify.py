@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from functools import cache, partial
 from math import factorial
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterator
 
 from .branching import (_check_lambda, _filtration_multiplicities,
@@ -28,13 +28,14 @@ from .branching import (_check_lambda, _filtration_multiplicities,
                         young_layer)
 from .lr import _lr_coefficient, _lr_product
 from .perms import Perm, double_coset_reps, rho_cosets, to_cycles
-from .shapes import (Composition, Partition, compositions,
+from .shapes import (Composition, Partition, check_count, compositions,
                      enumerate_partitions, multipartitions)
 
 # Largest |alpha| + |beta| for schur_product_oracle, and largest n for
 # the suites over all of S_n: brute_force_double_cosets labels all n!
-# permutations, and the stabilizer suite conjugates S_gamma by each of
-# them.  At n = 7, cosets take about 7 s and stabilizers about 30 s.
+# permutations, and the stabilizer suite checks the conjugate of
+# S_gamma by each of them.  At n = 7, cosets take about 5 s and
+# stabilizers about 1 s.
 SCHUR_ORACLE_BOUND = 15
 ORACLE_BOUND = 7
 
@@ -353,40 +354,45 @@ def verify_stabilizers(max_n: int = 6) -> dict:
 
     The stabilizer under the box action depends only on the flat filling,
     never on the row shape, so one filling per (gamma, sigma) pair covers
-    all shapes.  Column x of sigma^-1 S_gamma sigma, its elements' images
-    of x, is read off sigma by one itemgetter per column of S_gamma.
+    all shapes.  Per gamma, the distinct images of each box under S_gamma
+    are found once; sigma^-1 S_gamma sigma sends box x to sigma applied
+    to the images of box sigma^-1(x), so every element fixes the acted
+    filling iff those values hold the entry of box x.  Conjugation is
+    one-to-one and every acted filling rearranges the standard one, so
+    the size check is made once per gamma.  Only for n <= 4 is the
+    conjugate built, and compared with the stabilizer found by brute
+    force.
     """
     _check_oracle_bound(max_n)
     checked = 0
     failures = []
     for n in range(1, max_n + 1):
+        # 0-based sinv: sinv[x - 1] + 1 is the preimage of x under sigma;
+        # only the inverses are kept, which holds the peak memory down
+        inverses = [tuple(sorted(range(n), key=sigma.__getitem__))
+                    for sigma in all_perms(n)]
         for gamma in positive_compositions(n):
             group = young_subgroup(gamma)
-            # getters[y](sigma) lists sigma(g(y+1)) over g in S_gamma; the
-            # first g comes twice, so each getter returns a tuple, also
-            # when S_gamma is trivial
-            getters = [itemgetter(*(v - 1 for v in col))
-                       for col in zip(*group[:1], *group)]
             flat0 = standard_filling(gamma)
-            for sigma in all_perms(n):
-                # 0-based sinv: sinv[x - 1] + 1 is the preimage of x
-                sinv = sorted(range(n), key=sigma.__getitem__)
+            # an empty group fails here, before its images are read
+            sizes_match = len(set(group)) == _stab_order(flat0)
+            # images[y]: the distinct g(y + 1) over g in S_gamma
+            images = [set(col) for col in zip(*group)]
+            for sigma, sinv in zip(all_perms(n), inverses):
                 flat = list(map(flat0.__getitem__, sinv))  # box entries
-                # sinv * g * sigma: entry x is sigma(g(sinv(x))); an empty
-                # group has no getters and fails the size check below
-                columns = [getters[y](sigma) for y in sinv] if group else []
-                # every h fixes the filling iff the distinct images of
-                # each box x hold the entry of box x
-                ok = all(flat[v - 1] == e
-                         for e, col in zip(flat, columns) for v in set(col))
-                conj = set(zip(*columns))
-                sizes_match = len(conj) == _stab_order(flat)
-                stab = {theta for theta in all_perms(n)
-                        if all(flat[theta[i] - 1] == flat[i] for i in range(n))} \
-                    if n <= 4 else None
+                # sinv * g * sigma sends box x to sigma(g(sinv(x)))
+                ok = sizes_match and all(flat[sigma[v - 1] - 1] == e
+                                         for e, y in zip(flat, sinv)
+                                         for v in images[y])
+                if ok and n <= 4:
+                    conj = {tuple(sigma[g[y] - 1] for y in sinv)
+                            for g in group}
+                    ok = conj == {
+                        theta for theta in all_perms(n)
+                        if all(flat[theta[i] - 1] == flat[i]
+                               for i in range(n))}
                 checked += 1
-                if not ok or not sizes_match or (stab is not None
-                                                 and stab != conj):
+                if not ok:
                     failures.append(f"stabilizer mismatch gamma={gamma} "
                                     f"sigma={sigma}")
     return {"checked": checked, "failures": failures}
@@ -483,10 +489,11 @@ def run_suite(name: str, max_m: int | None = None,
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     check, default_m, default_n = SUITES[name]
+    for value, label in ((max_m, "max_m"), (max_n, "max_n")):
+        if value is not None:
+            check_count(value, label, 1)
     max_m = default_m if max_m is None else max_m
     max_n = default_n if max_n is None else max_n
-    if max_m < 1 or max_n < 1:
-        raise ValueError("bounds must be at least 1")
     report = check(max_m, max_n)
     report["suite"] = name
     return report

@@ -10,11 +10,14 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
+import operator
 import re
 from collections import Counter
 from pathlib import Path
 
 from wreathbranch import enumerate_partitions, lr_multi
+from wreathbranch.verify import positive_compositions
 
 
 BENCH_INPUTS = (Path(__file__).resolve().parents[1]
@@ -430,6 +433,48 @@ def set_orbit_double_cosets(gamma, alpha) -> list[frozenset]:
         unseen -= orbit
         cosets.append(frozenset(orbit))
     return sorted(cosets, key=min)
+
+
+def stabilizer_report_by_conjugates(max_n: int, subgroup) -> dict:
+    """The `stabilizers` suite's report, each conjugate built in full.
+
+    For each (gamma, sigma), every element of sigma^-1 S_gamma sigma is
+    built as an n-tuple, with S_gamma = subgroup(gamma).  Each element
+    must fix the acted standard filling, the conjugate must have as many
+    elements as its stabilizer, and for n <= 4 it must equal the
+    stabilizer found by brute force.
+    """
+    checked = 0
+    failures = []
+    for n in range(1, max_n + 1):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for gamma in positive_compositions(n):
+            group = subgroup(gamma)
+            # getters[y](sigma) lists sigma(g(y+1)) over g in S_gamma; the
+            # first g comes twice, so each getter returns a tuple
+            getters = [operator.itemgetter(*(v - 1 for v in col))
+                       for col in zip(*group[:1], *group)]
+            flat0 = tuple(v + 1 for v, part in enumerate(gamma)
+                          for _ in range(part))
+            for sigma in perms:
+                sinv = sorted(range(n), key=sigma.__getitem__)
+                flat = [flat0[y] for y in sinv]
+                # column x: the images sigma(g(sinv(x))) of box x
+                columns = [getters[y](sigma) for y in sinv] if group else []
+                ok = all(flat[v - 1] == e
+                         for e, col in zip(flat, columns) for v in set(col))
+                conj = set(zip(*columns))
+                order = math.prod(map(math.factorial,
+                                      Counter(flat).values()))
+                stab = {theta for theta in perms
+                        if all(flat[theta[i] - 1] == flat[i]
+                               for i in range(n))} if n <= 4 else None
+                checked += 1
+                if not ok or len(conj) != order or (stab is not None
+                                                    and stab != conj):
+                    failures.append(f"stabilizer mismatch gamma={gamma} "
+                                    f"sigma={sigma}")
+    return {"checked": checked, "failures": failures}
 
 
 @functools.cache

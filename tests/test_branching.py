@@ -12,12 +12,12 @@ import wreathbranch
 from helpers import (_column_map, adjacency_of, cheapest_first_rule_requests,
                      filtration_multiplicities_by_loop,
                      good_labellings_by_fillings)
-from wreathbranch import branching, verify
+from wreathbranch import branching, shapes, verify
 from wreathbranch.branching import (YoungLayer, _column_expansion,
                                     _filtration_multiplicities, branch_first,
                                     branch_second, good_labellings,
                                     wreath_specht_dimension, young_layer)
-from wreathbranch.shapes import (compositions, conjugate,
+from wreathbranch.shapes import (check_partition, compositions, conjugate,
                                  enumerate_partitions, multipartitions,
                                  removable_boxes, specht_dimension)
 from wreathbranch.verify import (verify_dimensions,
@@ -406,6 +406,23 @@ def test_m_must_be_an_int(m):
                  lambda: young_layer(m)):
         with pytest.raises(ValueError, match="m must be an int"):
             call()
+
+
+def test_young_layer_checks_no_partition_it_enumerated(monkeypatch):
+    # the layer's partitions come from enumerate_partitions, so removing
+    # their boxes needs no check; the uncached body is called, which
+    # leaves the layer cache as it was
+    calls = []
+
+    def counted(parts):
+        calls.append(parts)
+        return check_partition(parts)
+
+    for module in (shapes, branching):
+        monkeypatch.setattr(module, "check_partition", counted)
+    layer = young_layer.__wrapped__(8)
+    assert calls == []
+    assert layer == young_layer(8) and len(layer.edges) == 45
 
 
 def test_young_layer_caches_no_layer_for_a_bad_m():

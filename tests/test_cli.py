@@ -836,3 +836,16 @@ def test_verify_suites_match_the_oracles(capsys):
         cli.main(["verify", "--help"])
     assert "{" + ",".join(cli.VERIFY_SUITES) + "}" in capsys.readouterr().out
 
+
+@pytest.mark.parametrize("args, message", [
+    (("cosets", 1, 2.0), "max_n must be an int, not float"),
+    (("stabilizers", None, "3"), "max_n must be an int, not str"),
+    (("length-lemma", 1, True), "max_n must be an int, not bool"),
+    (("dimensions-first", False, None), "max_m must be an int, not bool"),
+    (("length-lemma", None, 0), "max_n must be at least 1"),
+    (("dimensions-first", 0, None), "max_m must be at least 1"),
+])
+def test_run_suite_checks_its_bounds(args, message):
+    # argparse hands the CLI ints, but a library caller may pass anything
+    with pytest.raises(ValueError, match=message):
+        verify.run_suite(*args)

@@ -14,7 +14,8 @@ from wreathbranch.verify import (_indexed_symmetric_group, _right_cosets,
                                  standard_filling, young_subgroup)
 
 from helpers import (act_on_tableau, parse_cycles, reshape,
-                     set_orbit_double_cosets, standard_tableau)
+                     set_orbit_double_cosets, stabilizer_report_by_conjugates,
+                     standard_tableau)
 
 
 def test_length_and_descents():
@@ -336,27 +337,65 @@ def _last_swapped_for_cross_block_transposition(gamma):
     return group if cross is None else group[:-1] + (cross,)
 
 
-@pytest.mark.parametrize("fault", [
-    lambda gamma: young_subgroup(gamma)[:-1],  # one element omitted
-    _with_cross_block_transposition,
-], ids=["omitted", "cross-block"])
+def _last_swapped_for_a_collapse(gamma):
+    """The last element swapped for the map sending boxes 1 and 2 to 1.
+
+    It fixes the standard filling and keeps the size, so only the
+    brute-force comparison, for n <= 4, can catch it.
+    """
+    group = young_subgroup(gamma)
+    if gamma[0] < 2:
+        return group
+    return group[:-1] + ((1, 1, *range(3, sum(gamma) + 1)),)
+
+
+# planted faults in young_subgroup, each a function of gamma
+STABILIZER_FAULTS = {
+    "omitted": lambda gamma: young_subgroup(gamma)[:-1],
+    "cross-block": _with_cross_block_transposition,
+    "swapped": _last_swapped_for_cross_block_transposition,
+    "repeated": lambda gamma: (young_subgroup(gamma)[:1]
+                               + young_subgroup(gamma)),
+    "empty": lambda gamma: (),
+    "collapsed": _last_swapped_for_a_collapse,
+}
+
+
+@pytest.mark.parametrize("fault", ["omitted", "cross-block", "swapped",
+                                   "empty", "collapsed"])
 def test_stabilizer_suite_catches_a_wrong_young_subgroup(monkeypatch, fault):
-    monkeypatch.setattr(verify, "young_subgroup", fault)
+    monkeypatch.setattr(verify, "young_subgroup", STABILIZER_FAULTS[fault])
     report = verify.verify_stabilizers(4)
     assert report["checked"] == 221
     assert report["failures"]
 
 
-@pytest.mark.parametrize("fault", [
-    lambda gamma: young_subgroup(gamma)[:-1],  # caught by the size check
-    _last_swapped_for_cross_block_transposition,  # by the fixing check
-], ids=["omitted", "swapped"])
+@pytest.mark.parametrize("fault", ["omitted", "swapped", "cross-block",
+                                   "empty"])
 def test_stabilizer_suite_catches_faults_past_the_brute_force_bound(
         monkeypatch, fault):
-    # faults at n = 5 only, where no brute-force stabilizer is compared,
-    # so the fixing check and the size check must each catch their own
-    monkeypatch.setattr(verify, "young_subgroup", lambda gamma: fault(gamma)
-                        if sum(gamma) == 5 else young_subgroup(gamma))
+    # faults at n = 5 only, where no brute-force stabilizer is compared:
+    # the fixing check alone catches "swapped", the size check the rest
+    def group(gamma):
+        if sum(gamma) == 5:
+            return STABILIZER_FAULTS[fault](gamma)
+        return young_subgroup(gamma)
+
+    monkeypatch.setattr(verify, "young_subgroup", group)
     report = verify.verify_stabilizers(5)
     assert report["checked"] == 2141
     assert report["failures"]
+    assert report == stabilizer_report_by_conjugates(5, group)
+
+
+@pytest.mark.parametrize("fault", ["intact", *STABILIZER_FAULTS])
+@pytest.mark.parametrize("n", [4, 5])
+def test_stabilizer_suite_matches_the_materialized_reference(
+        monkeypatch, n, fault):
+    # the reference builds every conjugate in full; the suite must report
+    # the same checks and the same failures in the same order, also for
+    # a repeated element, which no check can see
+    group = STABILIZER_FAULTS.get(fault, young_subgroup)
+    monkeypatch.setattr(verify, "young_subgroup", group)
+    assert (verify.verify_stabilizers(n)
+            == stabilizer_report_by_conjugates(n, group))
