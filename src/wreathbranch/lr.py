@@ -105,12 +105,12 @@ def _lr_walk(lam: Partition, alpha: Partition, beta: Partition) -> int:
 
 def _in_window(lam: Partition, alpha: Partition, beta: Partition) -> bool:
     """alpha and beta fit in lam, and alpha u beta <= lam <= alpha + beta."""
+    if not all(len(p) <= len(lam) and all(map(le, p, lam))
+               for p in (alpha, beta)):
+        return False  # most triples stop here, before the sums are built
     added = tuple(a + b for a, b in zip_longest(alpha, beta, fillvalue=0))
-    union = sorted(alpha + beta, reverse=True)
-    return (all(len(p) <= len(lam) and all(map(le, p, lam))
-                for p in (alpha, beta))
-            and _dominated(lam, added, sum(lam))
-            and _dominated(union, lam, sum(lam)))
+    return (_dominated(lam, added, sum(lam))
+            and _dominated(sorted(alpha + beta, reverse=True), lam, sum(lam)))
 
 
 def _dominated(small, big, n: int) -> bool:

@@ -12,7 +12,9 @@ order.
 
 from __future__ import annotations
 
-from .shapes import Composition, check_composition, fillings
+from itertools import accumulate
+
+from .shapes import Composition, check_composition
 
 Perm = tuple[int, ...]
 
@@ -40,18 +42,48 @@ def double_coset_reps(gamma: Composition,
     """A complete non-redundant system of (S_gamma, S_alpha)-double cosets.
 
     One representative per weakly-increasing-row filling of shape alpha
-    and type gamma: the stable permutation carrying the standard filling
-    onto that filling, i.e. the box positions sorted stably by entry.
-    Each is the least element of its double coset, as the `cosets`
-    suite checks.
+    and type gamma, in lexicographic order of the flat fillings: the
+    box positions sorted stably by entry, each the least element of its
+    double coset (the `cosets` suite checks this).  One loop over the
+    boxes, so no deep stack; box k taking entry v with r entries v left
+    is the (gamma_v - r)-th box holding v, so it goes to place
+    end[v] - 1 - r of the sort, end the running sum of gamma.
     """
     gamma = check_composition(gamma)
     alpha = check_composition(alpha)
-    if sum(alpha) != sum(gamma):
+    n = sum(gamma)
+    if sum(alpha) != n:
         raise ValueError("shape and type have different sizes")
-    return tuple(tuple(pos + 1 for pos in sorted(range(len(flat)),
-                                                 key=flat.__getitem__))
-                 for flat in fillings(alpha, gamma))
+    # after[k]: the boxes right of box k in its row
+    after = [size - 1 - j for size in alpha for j in range(size)]
+    end = list(accumulate(gamma))
+    top = len(gamma)
+    out = []
+    remaining, flat, rep = list(gamma), [-1] * n, [0] * n  # -1: no entry yet
+    k = 0
+    while k >= 0:
+        if k == n:  # each place of rep was written by this filling
+            out.append(tuple(rep))
+            k -= 1
+            continue
+        v = flat[k]
+        if v >= 0:  # free the entry the box held, to try the next one
+            remaining[v] += 1
+            v += 1
+        else:  # no less than the entry to its left in its row
+            v = flat[k - 1] if k and after[k - 1] else 0
+        while v < top and not remaining[v]:
+            v += 1
+        # the row's later boxes need entries no less than v
+        if v < top and (not after[k] or sum(remaining[v:]) > after[k]):
+            remaining[v] -= 1
+            rep[end[v] - 1 - remaining[v]] = k + 1
+            flat[k] = v
+            k += 1
+        else:
+            flat[k] = -1
+            k -= 1
+    return tuple(out)
 
 
 def rho_cosets(sizes: Composition) -> list[tuple[int, Perm]]:

@@ -34,7 +34,7 @@ from .shapes import (Composition, Partition, check_count, compositions,
 # Largest |alpha| + |beta| for schur_product_oracle, and largest n for
 # the suites over all of S_n: brute_force_double_cosets labels all n!
 # permutations, and the stabilizer suite checks the conjugate of
-# S_gamma by each of them.  At n = 7, cosets take about 5 s and
+# S_gamma by each of them.  At n = 7, cosets take about 3 s and
 # stabilizers about 1 s.
 SCHUR_ORACLE_BOUND = 15
 ORACLE_BOUND = 7
@@ -228,16 +228,20 @@ def _orbits(size: int, moves) -> tuple[list[int], list[int]]:
 
 
 @cache
-def _right_cosets(gamma: Composition) -> tuple[tuple[int, ...], ...]:
+def _right_cosets(gamma: Composition) -> tuple[tuple, ...]:
     """Label each index of S_n, n = |gamma|, by its right coset S_gamma * p.
 
     The cosets are the orbits of left multiplication by the block
-    transpositions of gamma; returns (owner, seeds) as `_orbits` does.
+    transpositions of gamma.  Returns (owner, seeds, moves), owner and
+    seeds as `_orbits` gives them.  moves[j][k] labels S_gamma * p * s,
+    s = (j+1, j+2), which is the same for every p in coset k, so it is
+    read at the seed and kept for every alpha.
     """
-    perms, _, left, _ = _indexed_symmetric_group(sum(gamma))
+    perms, _, left, right = _indexed_symmetric_group(sum(gamma))
     owner, seeds = _orbits(len(perms),
                            [left[j] for j in _block_transpositions(gamma)])
-    return tuple(owner), tuple(seeds)
+    moves = tuple(tuple(owner[step[p]] for p in seeds) for step in right)
+    return tuple(owner), tuple(seeds), moves
 
 
 def brute_force_double_cosets(
@@ -247,9 +251,10 @@ def brute_force_double_cosets(
     Exhaustive oracle over all n! elements, so n is capped by
     ORACLE_BOUND.  Right multiplication by S_alpha permutes the right
     cosets S_gamma * p, so the orbits are closed on those n!/|S_gamma|
-    cosets.  Returns (owner, least): owner[i] labels the double coset of
-    the i-th permutation of `_indexed_symmetric_group(n)`, and least[k],
-    rising in k, indexes the least element of double coset k, which the
+    cosets, by the moves `_right_cosets` keeps per gamma.  Returns
+    (owner, least): owner[i] labels the double coset of the i-th
+    permutation of `_indexed_symmetric_group(n)`, and least[k], rising
+    in k, indexes the least element of double coset k, which the
     `cosets` suite asks every representative to be.
     """
     n = sum(gamma)
@@ -257,15 +262,11 @@ def brute_force_double_cosets(
         raise ValueError("gamma and alpha must have equal size")
     if n > ORACLE_BOUND:
         raise ValueError("oracle bound exceeded")
-    right = _indexed_symmetric_group(n)[3]
-    coset, seeds = _right_cosets(tuple(gamma))
-    # S_gamma p s depends only on the coset of p, so its least element
-    # stands for it
-    moves = [[coset[right[j][p]] for p in seeds]
-             for j in _block_transpositions(alpha)]
+    coset, seeds, moves = _right_cosets(tuple(gamma))
     # cosets are numbered by least element, so numbering the double
     # cosets by least coset numbers them by least element too
-    double, double_seeds = _orbits(len(seeds), moves)
+    double, double_seeds = _orbits(
+        len(seeds), [moves[j] for j in _block_transpositions(alpha)])
     return (list(map(double.__getitem__, coset)),
             [seeds[k] for k in double_seeds])
 

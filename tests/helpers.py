@@ -238,6 +238,28 @@ def fillings_by_filter(support, row_sums, col_sums):
     return out
 
 
+def stable_argsorts(flats) -> tuple[tuple[int, ...], ...]:
+    """The 1-based box positions of each flat filling, sorted stably by
+    entry: the double coset representative read off that filling."""
+    return tuple(tuple(pos + 1 for pos in sorted(range(len(flat)),
+                                                 key=flat.__getitem__))
+                 for flat in flats)
+
+
+def count_integer_matrices(row_sums, col_sums) -> int:
+    """The number of nonnegative integer matrices with the given margins,
+    row by row over every choice of a row within the columns left."""
+    @functools.cache
+    def count(i: int, cols: tuple[int, ...]) -> int:
+        if i == len(row_sums):
+            return int(not any(cols))
+        return sum(count(i + 1, tuple(map(operator.sub, cols, row)))
+                   for row in itertools.product(*(range(c + 1) for c in cols))
+                   if sum(row) == row_sums[i])
+
+    return count(0, tuple(col_sums))
+
+
 def good_labellings_by_fillings(layer, lam_sizes, nu_sizes):
     """Good labellings for upper node sizes `lam_sizes`, lower `nu_sizes`.
 

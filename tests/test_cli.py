@@ -429,7 +429,7 @@ def test_usage_error_text(capsys, argv, message):
     ("cosets", "--gamma", "({ones})", "--alpha", "({n})"),
 ])
 def test_cosets_past_the_recursion_limit_are_answered(argv):
-    # shapes.fillings is one loop, so boxes in one row or one per row,
+    # double_coset_reps is one loop, so boxes in one row or one per row,
     # more than the recursion limit, need no deeper stack; and it never
     # starts a row that its remaining entries cannot finish, so n
     # distinct entries in one row take n steps, not 2^n

@@ -7,15 +7,16 @@ from hypothesis import given, strategies as st
 
 from wreathbranch.perms import double_coset_reps, rho_cosets, to_cycles
 from wreathbranch import verify
-from wreathbranch.verify import (_indexed_symmetric_group, _right_cosets,
+from wreathbranch.verify import (_block_transpositions,
+                                 _indexed_symmetric_group, _right_cosets,
                                  _transposition, all_perms,
                                  brute_force_double_cosets, compose, descents,
                                  inverse, length, positive_compositions,
                                  standard_filling, young_subgroup)
 
-from helpers import (act_on_tableau, parse_cycles, reshape,
-                     set_orbit_double_cosets, stabilizer_report_by_conjugates,
-                     standard_tableau)
+from helpers import (act_on_tableau, count_integer_matrices, parse_cycles,
+                     reshape, set_orbit_double_cosets,
+                     stabilizer_report_by_conjugates, standard_tableau)
 
 
 def test_length_and_descents():
@@ -199,7 +200,7 @@ def test_right_cosets_are_the_cosets_of_the_young_subgroup():
     for n in range(1, 6):
         perms, index, _, _ = _indexed_symmetric_group(n)
         for gamma in positive_compositions(n):
-            owner, seeds = _right_cosets(gamma)
+            owner, seeds, moves = _right_cosets(gamma)
             group = young_subgroup(gamma)
             assert len(owner) == math.factorial(n)
             assert Counter(owner) == {k: len(group)
@@ -210,6 +211,13 @@ def test_right_cosets_are_the_cosets_of_the_young_subgroup():
             for k, seed in enumerate(seeds):
                 coset = {index[compose(g, perms[seed])] for g in group}
                 assert {i for i, c in enumerate(owner) if c == k} == coset
+            # moves[j][k]: the coset of p * (j+1, j+2), for every p in
+            # coset k
+            assert len(moves) == n - 1
+            for j, move in enumerate(moves):
+                t = _transposition(j + 1, n)
+                assert [move[c] for c in owner] == \
+                    [owner[index[compose(p, t)]] for p in perms]
 
 
 def test_positive_compositions():
@@ -315,6 +323,55 @@ def test_least_elements_are_the_unique_shortest():
                 assert as_short == Counter(range(len(least)))
                 total += len(least)
     assert total == 40558
+
+
+# Past ORACLE_BOUND, at n = 8 and 9: zero parts, one row, one column
+# and square margins
+FAMILY_PAST_THE_ORACLE = [
+    ((3, 2, 3), (2, 4, 2)), ((2, 2, 2, 2), (2, 2, 2, 2)),
+    ((4, 1, 3), (1,) * 8), ((1,) * 8, (4, 4)), ((8,), (3, 5)),
+    ((3, 3, 3), (3, 3, 3)), ((2, 3, 4), (1, 4, 4)), ((1, 2, 3, 3), (4, 5)),
+    ((5, 0, 4), (2, 2, 2, 2, 1)), ((1,) * 9, (9,)), ((1,) * 9, (2, 3, 4)),
+]
+
+
+def _reps_past_the_oracle_failures(gamma, alpha, reps) -> list:
+    """What is wrong with `reps` as the distinguished (S_gamma, S_alpha)
+    representatives, checked without labelling S_n: their count, that
+    they are distinct permutations, and that each is shorter than its
+    neighbours s * w and w * t by the block transpositions."""
+    n = sum(gamma)
+    out = []
+    if len(reps) != count_integer_matrices(gamma, alpha):
+        out.append(f"{len(reps)} reps")
+    if len(set(reps)) != len(reps) or \
+            any(sorted(w) != list(range(1, n + 1)) for w in reps):
+        out.append("not distinct permutations")
+    left = [_transposition(j + 1, n) for j in _block_transpositions(gamma)]
+    right = [_transposition(j + 1, n) for j in _block_transpositions(alpha)]
+    for w in reps:
+        ell = length(w)
+        if any(length(compose(s, w)) <= ell for s in left) or \
+                any(length(compose(w, t)) <= ell for t in right):
+            out.append(f"{w} is not minimal")
+    return out
+
+
+@pytest.mark.parametrize("gamma,alpha", FAMILY_PAST_THE_ORACLE)
+def test_reps_past_the_oracle_bound_are_minimal(gamma, alpha):
+    assert sum(gamma) > verify.ORACLE_BOUND
+    reps = double_coset_reps(gamma, alpha)
+    assert _reps_past_the_oracle_failures(gamma, alpha, reps) == []
+
+
+def test_reps_past_the_oracle_bound_catch_a_planted_s_times_w():
+    # s * w lies in the double coset of w, one inversion longer
+    gamma, alpha = (3, 3, 3), (3, 3, 3)
+    reps = double_coset_reps(gamma, alpha)
+    planted = compose(_transposition(1, 9), reps[-1])
+    assert length(planted) == length(reps[-1]) + 1
+    assert _reps_past_the_oracle_failures(
+        gamma, alpha, reps[:-1] + (planted,)) == [f"{planted} is not minimal"]
 
 
 def _cross_block_transposition(gamma):

@@ -2,13 +2,15 @@ import itertools
 
 import pytest
 
+from wreathbranch.perms import double_coset_reps
 from wreathbranch.shapes import (check_composition, compositions,
-                                 enumerate_partitions, fillings,
-                                 multipartitions, removable_boxes,
-                                 size_composition, specht_dimension)
+                                 enumerate_partitions, multipartitions,
+                                 removable_boxes, size_composition,
+                                 specht_dimension)
 
 from helpers import (concat_parts, count_standard_tableaux,
-                     fillings_by_filter, partitions_by_filter)
+                     fillings_by_filter, partitions_by_filter,
+                     stable_argsorts)
 
 # partition counts p(0)..p(10)
 PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
@@ -111,28 +113,39 @@ def test_compositions_against_a_product_filter(caps):
         assert list(compositions(n, caps)) == want[::-1]
 
 
+# The fillings tests below check the double coset representatives that
+# `double_coset_reps(col_sums, row_sums)` reads off the weakly increasing
+# row fillings with the given margins: each is the stable argsort of its
+# filling, in the lexicographic order of the fillings.
+
 def test_fillings_worked_example():
     # shape (8, 1), type (3, 1, 0, 2, 3), entries 0-based
-    assert fillings((8, 1), (3, 1, 0, 2, 3)) == [
+    want = [
         (0, 0, 0, 1, 3, 3, 4, 4, 4),
         (0, 0, 0, 1, 3, 4, 4, 4, 3),
         (0, 0, 0, 3, 3, 4, 4, 4, 1),
         (0, 0, 1, 3, 3, 4, 4, 4, 0),
     ]
+    assert fillings_by_filter(((1,) * 5,) * 2, (8, 1), (3, 1, 0, 2, 3)) \
+        == want
+    assert double_coset_reps((3, 1, 0, 2, 3), (8, 1)) == stable_argsorts(want)
 
 
 def test_fillings_small():
-    assert fillings((5,), (2, 2, 1)) == [(0, 0, 1, 1, 2)]
-    assert fillings((1, 1), (1, 1)) == [(0, 1), (1, 0)]
+    assert double_coset_reps((2, 2, 1), (5,)) == \
+        stable_argsorts([(0, 0, 1, 1, 2)]) == ((1, 2, 3, 4, 5),)
+    assert double_coset_reps((1, 1), (1, 1)) == \
+        stable_argsorts([(0, 1), (1, 0)]) == ((1, 2), (2, 1))
 
 
 def test_fillings_edge_margins():
-    assert fillings((), ()) == [()]
-    assert fillings((0,), ()) == [()]
-    assert fillings((0, 2), (2,)) == [(0, 0)]
-    # unequal totals give no filling, whichever side is larger
-    assert fillings((2,), (3,)) == []
-    assert fillings((3,), (2,)) == []
+    assert double_coset_reps((), ()) == ((),)
+    assert double_coset_reps((), (0,)) == ((),)
+    assert double_coset_reps((2,), (0, 2)) == ((1, 2),)
+    # unequal totals raise, whichever side is larger
+    for gamma, alpha in (((3,), (2,)), ((2,), (3,))):
+        with pytest.raises(ValueError, match="different sizes"):
+            double_coset_reps(gamma, alpha)
 
 
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 2), (1, 0), (1, 3),
@@ -142,9 +155,14 @@ def test_fillings_against_a_filter(rows, cols):
     support = ((1,) * cols,) * rows
     for row_sums in itertools.product(range(3), repeat=rows):
         for col_sums in itertools.product(range(3), repeat=cols):
+            if sum(row_sums) != sum(col_sums):
+                with pytest.raises(ValueError, match="different sizes"):
+                    double_coset_reps(col_sums, row_sums)
+                continue
             want = fillings_by_filter(support, row_sums, col_sums)
             assert want == sorted(set(want))
-            assert fillings(row_sums, col_sums) == want
+            assert double_coset_reps(col_sums, row_sums) == \
+                stable_argsorts(want)
 
 
 def test_check_composition():
