@@ -18,7 +18,8 @@ from operator import itemgetter
 from .lr import _lr_multi, _lr_multi_sorted, _lr_product
 from .shapes import (Multipartition, Partition, _removable_boxes,
                      _specht_dimension, check_count, check_partition,
-                     compositions, enumerate_partitions, size_composition)
+                     compositions, enumerate_partitions, partitions_inside,
+                     size_composition)
 
 # A multipartition matrix is a tuple of rows; each row holds one
 # partition per column.  A multiplicity map is a dict multipartition ->
@@ -141,16 +142,17 @@ def _row_fillings(support, width: int, eta_i: Partition) -> tuple:
 
     Pairs (row, coeff): row holds one partition per lower node (`width`),
     () off `support` (a node's `below`), with sizes summing to |eta_i|,
-    and coeff is lr_multi(eta_i, row).  Memoised, as every lambda that
-    puts eta_i on a node with this support shares them.
+    and coeff is lr_multi(eta_i, row); only parts inside eta_i are tried,
+    as any other gives 0.  Memoised, as every lambda that puts eta_i on a
+    node with this support shares them.
     """
     n = sum(eta_i)
     caps = [n if j in support else 0 for j in range(width)]
+    inside = [tuple(partitions_inside(k, eta_i)) for k in range(n + 1)]
     out = []
     for sizes in compositions(n, caps):
-        for row in itertools.product(*map(enumerate_partitions, sizes)):
-            coeff = _lr_multi(eta_i, row)
-            if coeff:
+        for row in itertools.product(*map(inside.__getitem__, sizes)):
+            if coeff := _lr_multi(eta_i, row):
                 out.append((row, coeff))
     return tuple(out)
 

@@ -4,8 +4,8 @@
 alpha u beta <= lam <= alpha + beta in dominance order (Fulton, *Young
 Tableaux*, section 5).  Otherwise a pruned walk after Anders Buch's
 ``lrcalc`` counts the LR tableaux of shape lam/alpha and content beta.
-``lr_multi`` extends it to a tuple of partitions by peeling off the
-first one and recursing.  ``_lr_product`` lists every nonzero
+``lr_multi`` peels a tuple of partitions off in one loop, over the
+beta inside each shape.  ``_lr_product`` lists every nonzero
 c^nu_{kappa,alpha} at once, strip by strip as ``lrcalc`` does.
 ``verify.schur_product_oracle`` cross-checks both by another route.
 """
@@ -16,7 +16,7 @@ from functools import cache
 from itertools import accumulate, zip_longest
 from operator import le, sub
 
-from .shapes import Partition, check_partition, enumerate_partitions
+from .shapes import Partition, check_partition, partitions_inside
 
 
 def lr_coefficient(lam: Partition, alpha: Partition, beta: Partition) -> int:
@@ -28,10 +28,10 @@ def lr_multi(lam: Partition, parts) -> int:
     """The generalized coefficient c(lam; (alpha^1, ..., alpha^t)).
 
     t = 0 gives 1 exactly for the empty lam; t = 1 is a Kronecker
-    delta; t = 2 is lr_coefficient; larger tuples recurse through all
-    intermediate partitions.  The value is invariant under reordering
-    the tuple (checked in the test suite), so the memo key is sorted;
-    empty parts do not change it either.
+    delta; t = 2 is lr_coefficient; larger tuples sum over the
+    intermediate partitions inside lam.  The value is invariant under
+    reordering the tuple (checked in the test suite), so the memo key
+    is sorted; empty parts do not change it either.
     ValueError unless lam and every part are partitions.
     """
     return _lr_multi(check_partition(lam), map(check_partition, parts))
@@ -153,19 +153,18 @@ def _lr_product(kappa: Partition, alpha: Partition) -> dict:
 
 @cache
 def _lr_multi_sorted(lam: Partition, parts) -> int:
-    """lr_multi with `parts` a sorted tuple of partitions."""
+    """lr_multi with `parts` sorted; one loop peels all but the last pair."""
     if len(parts) == 2:
-        return _lr_coefficient(lam, parts[0], parts[1])
-    if sum(map(sum, parts)) != sum(lam):
-        return 0
-    if len(parts) == 0:
-        return 1 if lam == () else 0
-    if len(parts) == 1:
-        return 1 if parts[0] == lam else 0
-    head, tail = parts[0], parts[1:]
-    total = 0
-    for beta in enumerate_partitions(sum(lam) - sum(head)):
-        c = _lr_coefficient(lam, head, beta)
-        if c:
-            total += c * _lr_multi_sorted(beta, tail)
-    return total
+        return _lr_coefficient(lam, *parts)
+    if len(parts) < 2:  # lam == parts holds only when both are ()
+        return int(lam == parts or (lam,) == parts)
+    weights = {lam: 1}  # shape -> weight; the last pair checks the sizes
+    for head in parts[:-2]:
+        peeled: dict = {}
+        for shape, weight in weights.items():
+            for beta in partitions_inside(sum(shape) - sum(head), shape):
+                if c := _lr_coefficient(shape, head, beta):
+                    peeled[beta] = peeled.get(beta, 0) + weight * c
+        weights = peeled
+    return sum(weight * _lr_multi_sorted(shape, parts[-2:])
+               for shape, weight in weights.items())

@@ -67,16 +67,35 @@ def enumerate_partitions(m: int) -> tuple[Partition, ...]:
     result is ((),).  ValueError unless m is an int >= 0.
     """
     check_count(m, "m")
+    return tuple(partitions_inside(m, (m,) * m))
 
-    def gen(remaining: int, max_part: int):
-        if remaining == 0:
-            yield ()
+
+def partitions_inside(k: int, lam: Partition):
+    """Yield the partitions of k that fit inside lam, descending lex order.
+
+    One loop, as `compositions`: fill greedily, largest part first; then
+    lower the last part whose rows below can hold the rest, none above
+    it, and refill them.  Nothing for k < 0 or k > |lam|.
+    """
+    if not 0 <= k <= sum(lam):
+        return
+    parts, rest, top = [], k, k  # rest boxes to place, none above top
+    while True:
+        while rest:  # the room was checked, so lam has rows enough
+            top = min(top, lam[len(parts)], rest)
+            parts.append(top)
+            rest -= top
+        yield tuple(parts)
+        while parts:  # room below for rest + 1: top a row, less if shorter
+            top, rows = parts[-1] - 1, len(lam) - len(parts)
+            if top * rows > rest and (lam[-1] >= top or sum(
+                    min(p, top) for p in lam[-rows:]) > rest):
+                break
+            rest += parts.pop()
+        else:
             return
-        for first in range(min(remaining, max_part), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(m, m))
+        parts[-1] = top
+        rest += 1
 
 
 def removable_boxes(lam: Partition) -> list[Partition]:

@@ -59,6 +59,11 @@ def partitions_by_filter(m: int) -> list[tuple[int, ...]]:
     return sorted(found, reverse=True)
 
 
+def fits(outer, inner) -> bool:
+    """True iff the partition `inner` fits inside the partition `outer`."""
+    return len(inner) <= len(outer) and all(map(int.__le__, inner, outer))
+
+
 def count_standard_tableaux(shape: tuple[int, ...]) -> int:
     """Standard Young tableaux of `shape`, counted by direct placement."""
     n = sum(shape)

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import wreathbranch
-from helpers import (_column_map, adjacency_of, cheapest_first_rule_requests,
+from helpers import (_column_map, _row_fillings_by_filter, adjacency_of,
+                     cheapest_first_rule_requests, fits,
                      filtration_multiplicities_by_loop,
                      good_labellings_by_fillings)
 from wreathbranch import branching, shapes, verify
@@ -440,6 +441,32 @@ def test_dimension_identities_small():
     assert verify_dimensions("second", 2, 1)["failures"] == []
     with pytest.raises(ValueError):
         verify_dimensions("sideways", 2, 2)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_row_fillings_ask_only_rows_inside_eta(monkeypatch, m):
+    # lr_multi(eta_i, row) is 0 when a part of the row does not fit in
+    # eta_i, so the scan asks each row of fitting parts once and no other
+    asked, lr_multi = [], branching._lr_multi
+
+    def counted(eta_i, row):
+        asked.append(row)
+        return lr_multi(eta_i, row)
+
+    monkeypatch.setattr(branching, "_lr_multi", counted)
+    layer = young_layer(m)
+    for js, support_row in zip(layer.below, adjacency_of(layer)):
+        for eta_i in (p for k in range(1, 5) for p in enumerate_partitions(k)):
+            asked.clear()
+            fillings = branching._row_fillings.__wrapped__(
+                js, len(layer.lower), eta_i)
+            assert fillings == _row_fillings_by_filter(support_row, eta_i)
+            pools = [[p for k in range(sum(eta_i) + 1)
+                      for p in enumerate_partitions(k) if fits(eta_i, p)]
+                     if a else [()] for a in support_row]
+            assert sorted(asked) == sorted(
+                row for row in itertools.product(*pools)
+                if sum(map(sum, row)) == sum(eta_i))
 
 
 def test_dimension_identity_reports_a_dropped_row_filling(monkeypatch):

@@ -454,6 +454,18 @@ def test_lr_past_the_recursion_limit_is_answered(shape):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
 
+@pytest.mark.parametrize("shape", ["[{n}]", "[{ones}]"],
+                         ids=["row", "column"])
+def test_lr_multi_past_the_recursion_limit_is_answered(shape):
+    # the peel is one loop over the parts, and it visits only the
+    # partitions inside each shape: here one per part
+    n = sys.getrecursionlimit() + 100
+    lam = shape.format(n=n, ones=",".join(["1"] * n))
+    proc = _fresh_python("-m", "wreathbranch.cli", "lr-multi", "--lambda",
+                         lam, "--parts", ";".join(["[1]"] * n))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
 def test_computation_error_exit_code(capsys):
     code, out, _ = run(capsys, "dim", "--partition", "[1,2]")
     assert code == 2

@@ -1,6 +1,8 @@
 import itertools
 import sys
+import time
 from functools import cache
+from math import factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,7 +16,7 @@ from wreathbranch.verify import (SCHUR_ORACLE_BOUND, _kostka,
                                  verify_labelling_equivalence,
                                  verify_lr_oracle)
 
-from helpers import (_column_map, enumerate_skew_ssyt,
+from helpers import (_column_map, enumerate_skew_ssyt, fits,
                      full_product_schur_expansion, lattice_tableaux,
                      schur_monomials)
 
@@ -75,6 +77,58 @@ def test_lr_multi_degree_filter():
 def test_lr_multi_dimension_identity(m):
     for lam in enumerate_partitions(m):
         assert lr_multi(lam, ((1,),) * m) == specht_dimension(lam)
+
+
+def _mass_check(total, t):
+    """Check sum_lam c(lam; parts) f^lam against
+    total! / prod |alpha^i|! * prod f^{alpha^i}, for every multiset parts
+    of t nonempty partitions alpha^i of sizes summing to total.
+
+    Both sides are the dimension of the module induced from the Young
+    subgroup, and every term is positive, so a dropped term lowers the
+    left side.  Returns the multisets checked and (parts, left, right)
+    for each that fails.
+    """
+    pool = [p for k in range(1, total - t + 2)
+            for p in enumerate_partitions(k)]
+    checked, failures = 0, []
+    for parts in itertools.combinations_with_replacement(pool, t):
+        if sum(map(sum, parts)) != total:
+            continue
+        checked += 1
+        left = sum(lr_multi(lam, parts) * specht_dimension(lam)
+                   for lam in enumerate_partitions(total))
+        right = (factorial(total) // prod(factorial(sum(p)) for p in parts)
+                 * prod(map(specht_dimension, parts)))
+        if left != right:
+            failures.append((parts, left, right))
+    return checked, failures
+
+
+@pytest.mark.parametrize("total, t, multisets", [(9, 3, 134), (8, 4, 37)])
+def test_lr_multi_mass_identity(total, t, multisets):
+    assert _mass_check(total, t) == (multisets, [])
+
+
+def test_mass_identity_catches_a_peel_that_skips_a_partition(monkeypatch):
+    inside = lr.partitions_inside
+    monkeypatch.setattr(lr, "partitions_inside",
+                        lambda k, lam: list(inside(k, lam))[:-1])
+    lr._lr_multi_sorted.cache_clear()
+    try:
+        _, failures = _mass_check(7, 3)
+    finally:
+        lr._lr_multi_sorted.cache_clear()  # no faulty value outlives the test
+    assert failures
+    assert all(left < right for _, left, right in failures)
+
+
+def test_many_one_box_parts_in_a_row_are_fast():
+    # the peel visits only the beta inside each shape: one per part here,
+    # where every partition of the rest would be p(59) = 831,820
+    start = time.process_time()
+    assert lr._lr_multi_sorted.__wrapped__((60,), ((1,),) * 60) == 1
+    assert time.process_time() - start < 0.5
 
 
 def test_lr_multi_order_invariance():
@@ -179,10 +233,6 @@ def test_each_window_condition_rejects_on_its_own(lam, alpha, beta):
     assert lr_coefficient(lam, alpha, beta) == 0
 
 
-def _fits(outer, inner) -> bool:
-    return len(inner) <= len(outer) and all(map(int.__le__, inner, outer))
-
-
 def _skew_triple(data, max_size):
     """lam of size at most max_size, alpha inside it, and any beta with
     |beta| = |lam/alpha|."""
@@ -190,7 +240,7 @@ def _skew_triple(data, max_size):
     lam = data.draw(st.sampled_from(enumerate_partitions(n)), label="lam")
     b = data.draw(st.integers(0, n), label="|beta|")
     alpha = data.draw(st.sampled_from(
-        [a for a in enumerate_partitions(n - b) if _fits(lam, a)]),
+        [a for a in enumerate_partitions(n - b) if fits(lam, a)]),
         label="alpha")
     beta = data.draw(st.sampled_from(enumerate_partitions(b)), label="beta")
     return lam, alpha, beta
@@ -285,7 +335,7 @@ def _semistandard_product(kappa, alpha):
     """The kernel without its lattice prune: every semistandard tableau of
     shape nu/kappa and type alpha, for each nu that holds kappa."""
     return {nu: c for nu in enumerate_partitions(sum(kappa) + sum(alpha))
-            if _fits(nu, kappa)
+            if fits(nu, kappa)
             and (c := len(enumerate_skew_ssyt(nu, kappa, alpha)))}
 
 

@@ -1,15 +1,17 @@
 import itertools
+import sys
+from functools import cache
 
 import pytest
 
 from wreathbranch.perms import double_coset_reps
 from wreathbranch.shapes import (check_composition, compositions,
                                  enumerate_partitions, multipartitions,
-                                 removable_boxes, size_composition,
-                                 specht_dimension)
+                                 partitions_inside, removable_boxes,
+                                 size_composition, specht_dimension)
 
 from helpers import (concat_parts, count_standard_tableaux,
-                     fillings_by_filter, partitions_by_filter,
+                     fillings_by_filter, fits, partitions_by_filter,
                      stable_argsorts)
 
 # partition counts p(0)..p(10)
@@ -37,6 +39,28 @@ def test_partition_count_and_lex_order(m):
     if m > 0:
         assert parts[0] == (m,)
         assert parts[-1] == (1,) * m
+
+
+_filtered = cache(partitions_by_filter)
+
+
+@pytest.mark.parametrize("size", range(11))
+def test_partitions_inside_match_a_filter(size):
+    # every lam of the size, the empty one included, and every k up to
+    # one past |lam|, where nothing fits
+    for lam in _filtered(size):
+        for k in range(size + 2):
+            assert list(partitions_inside(k, lam)) == [
+                p for p in _filtered(k) if fits(lam, p)]
+    assert list(partitions_inside(-1, (size,))) == []
+
+
+def test_partitions_inside_past_the_recursion_limit():
+    # one loop: a row or a column longer than the recursion limit needs
+    # no deeper stack
+    n = sys.getrecursionlimit() + 100
+    assert list(partitions_inside(n, (1,) * n)) == [(1,) * n]
+    assert list(partitions_inside(n, (n,))) == [(n,)]
 
 
 @pytest.mark.parametrize("value, message", [
