@@ -16,9 +16,9 @@ from math import factorial, prod
 from operator import itemgetter
 
 from .lr import _lr_multi, _lr_multi_sorted, _lr_product
-from .shapes import (Multipartition, Partition, _removable_boxes,
-                     _specht_dimension, check_count, check_partition,
-                     compositions, enumerate_partitions, partitions_inside,
+from .shapes import (Multipartition, Partition, _specht_dimension,
+                     check_count, check_partition, compositions,
+                     enumerate_partitions, partitions_inside, removable_boxes,
                      size_composition)
 
 # A multipartition matrix is a tuple of rows; each row holds one
@@ -42,7 +42,7 @@ def young_layer(m: int) -> YoungLayer:
     index = {p: j for j, p in enumerate(lower)}
     edges = tuple((i, index[q])
                   for i, p in enumerate(upper)
-                  for q in _removable_boxes(p))
+                  for q in removable_boxes(p))
     below = [() for _ in upper]
     for i, j in edges:
         below[i] = (j,) + below[i]
@@ -261,7 +261,7 @@ def branch_second(m: int, lam: Multipartition) -> dict:
     for i, part in enumerate(lam):
         if not part:
             continue
-        for delta in _removable_boxes(part):
+        for delta in removable_boxes(part):
             key = lam[:i] + (delta,) + lam[i + 1:]
             result[key] = result.get(key, 0) + _specht_dimension(upper[i])
     return result

@@ -4,9 +4,9 @@
 alpha u beta <= lam <= alpha + beta in dominance order (Fulton, *Young
 Tableaux*, section 5).  Otherwise a pruned walk after Anders Buch's
 ``lrcalc`` counts the LR tableaux of shape lam/alpha and content beta.
-``lr_multi`` peels a tuple of partitions off in one loop, over the
-beta inside each shape.  ``_lr_product`` lists every nonzero
-c^nu_{kappa,alpha} at once, strip by strip as ``lrcalc`` does.
+``lr_multi`` peels a tuple of partitions off in one loop, by the walk
+with free content (``lrcalc``'s skew).  ``_lr_product`` lists every
+nonzero c^nu_{kappa,alpha} at once, strip by strip as ``lrcalc`` does.
 ``verify.schur_product_oracle`` cross-checks both by another route.
 """
 
@@ -16,7 +16,7 @@ from functools import cache
 from itertools import accumulate, zip_longest
 from operator import le, sub
 
-from .shapes import Partition, check_partition, partitions_inside
+from .shapes import Partition, check_partition
 
 
 def lr_coefficient(lam: Partition, alpha: Partition, beta: Partition) -> int:
@@ -53,7 +53,7 @@ def _lr_coefficient(lam: Partition, alpha: Partition, beta: Partition) -> int:
     return _lr_walk(lam, alpha, beta)
 
 
-def _lr_walk(lam: Partition, alpha: Partition, beta: Partition) -> int:
+def _lr_walk(lam: Partition, alpha: Partition, beta: Partition = None):
     """The number of LR tableaux of shape lam/alpha and content beta.
 
     Fills the boxes in reverse reading order (rows top-down, each right
@@ -62,24 +62,29 @@ def _lr_walk(lam: Partition, alpha: Partition, beta: Partition) -> int:
     box to its right, exceeds the box above it, and keeps the reading
     word a lattice word (count[v] < count[v - 1]).  One loop moves back
     and forth over the boxes, so no shape needs a deep stack.  Assumes
-    alpha fits in lam and |beta| = |lam/alpha|.
+    alpha fits in lam and |beta| = |lam/alpha|.  With beta None nothing
+    is owed, values run to len(lam), and the result is {beta: c} for
+    every beta with c = c^lam_{alpha,beta} > 0, as ``lrcalc``'s skew.
     """
     # per box in filling order: its largest value by row, and the
     # positions of its right and upper neighbours; position n reads 0
-    # (no box above) and n + 1 reads len(beta) (no box to the right)
-    n = sum(beta)
+    # (no box above) and n + 1 reads `rows` (no box to the right)
+    n, rows = sum(lam) - sum(alpha), len(lam if beta is None else beta)
     boxes, where = [], {}
     for i, (a, row) in enumerate(zip_longest(alpha, lam, fillvalue=0)):
         for j in range(row - 1, a - 1, -1):
             where[i, j] = len(boxes)
-            boxes.append((min(i + 1, len(beta)), where.get((i, j + 1), n + 1),
+            boxes.append((min(i + 1, rows), where.get((i, j + 1), n + 1),
                           where.get((i - 1, j), n)))
-    value = [0] * n + [0, len(beta)]
-    owed = (0,) + beta
-    count = [n + 1] + [0] * len(beta)    # count[0] never stops a 1
-    total, k = 0, 0
+    value = [0] * n + [0, rows]
+    owed = (0,) + ((n + 1,) * rows if beta is None else beta)
+    count = [n + 1] + [0] * rows    # count[0] never stops a 1
+    total, found, k = 0, {}, 0
     while k >= 0:
         if k == n:
+            if beta is None:  # a lattice word's counts are a partition
+                content = tuple(filter(None, count[1:]))
+                found[content] = found.get(content, 0) + 1
             total += 1
             k -= 1
             continue
@@ -100,7 +105,7 @@ def _lr_walk(lam: Partition, alpha: Partition, beta: Partition) -> int:
         else:
             value[k] = 0
             k -= 1
-    return total
+    return total if beta is not None else found
 
 
 def _in_window(lam: Partition, alpha: Partition, beta: Partition) -> bool:
@@ -153,7 +158,10 @@ def _lr_product(kappa: Partition, alpha: Partition) -> dict:
 
 @cache
 def _lr_multi_sorted(lam: Partition, parts) -> int:
-    """lr_multi with `parts` sorted; one loop peels all but the last pair."""
+    """lr_multi with `parts` sorted; one loop peels all but the last pair.
+
+    One free-content walk peels a head off each shape it fits in.
+    """
     if len(parts) == 2:
         return _lr_coefficient(lam, *parts)
     if len(parts) < 2:  # lam == parts holds only when both are ()
@@ -162,8 +170,8 @@ def _lr_multi_sorted(lam: Partition, parts) -> int:
     for head in parts[:-2]:
         peeled: dict = {}
         for shape, weight in weights.items():
-            for beta in partitions_inside(sum(shape) - sum(head), shape):
-                if c := _lr_coefficient(shape, head, beta):
+            if len(head) <= len(shape) and all(map(le, head, shape)):
+                for beta, c in _lr_walk(shape, head).items():
                     peeled[beta] = peeled.get(beta, 0) + weight * c
         weights = peeled
     return sum(weight * _lr_multi_sorted(shape, parts[-2:])

@@ -457,8 +457,8 @@ def test_lr_past_the_recursion_limit_is_answered(shape):
 @pytest.mark.parametrize("shape", ["[{n}]", "[{ones}]"],
                          ids=["row", "column"])
 def test_lr_multi_past_the_recursion_limit_is_answered(shape):
-    # the peel is one loop over the parts, and it visits only the
-    # partitions inside each shape: here one per part
+    # the peel is one loop over the parts, and its walk lists only the
+    # nonzero beta of each shape: here one per part
     n = sys.getrecursionlimit() + 100
     lam = shape.format(n=n, ones=",".join(["1"] * n))
     proc = _fresh_python("-m", "wreathbranch.cli", "lr-multi", "--lambda",

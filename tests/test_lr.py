@@ -111,9 +111,12 @@ def test_lr_multi_mass_identity(total, t, multisets):
 
 
 def test_mass_identity_catches_a_peel_that_skips_a_partition(monkeypatch):
-    inside = lr.partitions_inside
-    monkeypatch.setattr(lr, "partitions_inside",
-                        lambda k, lam: list(inside(k, lam))[:-1])
+    # the free-content walk drops the last beta it found; the fixed one,
+    # which single coefficients and the last pair take, is left alone
+    walk = lr._lr_walk
+    monkeypatch.setattr(lr, "_lr_walk", lambda lam, alpha, beta=None: (
+        walk(lam, alpha, beta) if beta is not None
+        else dict(list(walk(lam, alpha).items())[:-1])))
     lr._lr_multi_sorted.cache_clear()
     try:
         _, failures = _mass_check(7, 3)
@@ -124,11 +127,45 @@ def test_mass_identity_catches_a_peel_that_skips_a_partition(monkeypatch):
 
 
 def test_many_one_box_parts_in_a_row_are_fast():
-    # the peel visits only the beta inside each shape: one per part here,
+    # the peel's walk lists only the nonzero beta: one per part here,
     # where every partition of the rest would be p(59) = 831,820
     start = time.process_time()
     assert lr._lr_multi_sorted.__wrapped__((60,), ((1,),) * 60) == 1
     assert time.process_time() - start < 0.5
+
+
+def test_the_free_walk_lists_the_nonzero_coefficients():
+    # {beta: c^lam_{alpha,beta}} with free content, against the walk with
+    # each content fixed, for every alpha inside lam with |lam| <= 9
+    pairs = 0
+    for n in range(10):
+        for lam in enumerate_partitions(n):
+            for k in range(n + 1):
+                for alpha in enumerate_partitions(k):
+                    if not fits(lam, alpha):
+                        continue
+                    pairs += 1
+                    assert lr._lr_walk(lam, alpha) == {
+                        beta: c for beta in enumerate_partitions(n - k)
+                        if (c := lr._lr_coefficient(lam, alpha, beta))}
+    assert pairs == 1592
+
+
+def test_lr_multi_matches_the_product_route():
+    # entry by entry, where the mass identity sees only a sum: a peel
+    # that walks a head not inside its shape fails here
+    pool = [p for k in range(1, 7) for p in enumerate_partitions(k)]
+    multisets = 0
+    for t in (3, 4):
+        for parts in itertools.combinations_with_replacement(pool, t):
+            total = sum(map(sum, parts))
+            if total > 9:
+                continue
+            multisets += 1
+            got = {nu: c for nu in enumerate_partitions(total)
+                   if (c := lr_multi(nu, parts))}
+            assert got == dict(zip(*branching._column_expansion(parts))), parts
+    assert multisets == 382
 
 
 def test_lr_multi_order_invariance():
