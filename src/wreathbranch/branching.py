@@ -1,8 +1,10 @@
 """Branching multiplicities for Specht modules of S_m wr S_n.
 
-The first rule (restriction to S_{m-1} wr S_n) is computed two ways: by
-summing coefficients over good labellings of the two-layer Young graph
-slice, and by the multipartition-matrix formula; the two must agree.
+The first rule (restriction to S_{m-1} wr S_n) is computed two ways by
+one loop over fillings, whose rows and columns hold a good labelling's
+labels at the upper and lower nodes of the two-layer Young graph slice:
+the matrix formula takes the column coefficients from the product kernel,
+the good-labelling sum from the LR walk; the two must agree.
 The second rule (restriction to S_m wr S_{n-1}) removes one box from one
 component, weighted by a hook-length dimension.
 """
@@ -94,48 +96,6 @@ def good_labellings(m: int, lam: Multipartition,
 
 # The entry points hold checked partitions, so they call the cores below.
 
-def _node_product(parts: Multipartition, keys) -> int:
-    """Product over nodes k of lr_multi(parts[k], labels at node k).
-
-    keys[k] holds node k's nonempty labels sorted: a `_lr_multi_sorted` key.
-    """
-    coeff = 1
-    for part, key in zip(parts, keys):
-        coeff *= _lr_multi_sorted(part, key)
-        if not coeff:
-            return 0
-    return coeff
-
-
-def _labelling_multiplicities(layer: YoungLayer, lam: Multipartition) -> dict:
-    """The multiplicity map of the good-labelling sum, for n >= 1.
-
-    The labels at upper node i of a good labelling fill row i, and its
-    upper factor is that row's coefficient, so the labellings with a
-    nonzero upper factor combine the nonempty rows' `_row_fillings`.
-    Labellings with equal lower keys (as `_node_product` takes them) share
-    their lower factor, so their upper factors are summed first.  The
-    keys come in the order of `multipartitions`.
-    """
-    per_row = [_row_fillings(js, len(layer.lower), part)
-               for js, part in zip(layer.below, lam) if part]
-    groups: dict[tuple, dict] = {}  # nu sizes -> {lower keys: coeff}
-    for combo in itertools.product(*per_row):
-        keys = tuple(tuple(sorted([p for p in column if p]))
-                     for column in zip(*map(_row_of, combo)))
-        nu_sizes = tuple(sum(map(sum, key)) for key in keys)
-        group = groups.setdefault(nu_sizes, {})
-        group[keys] = group.get(keys, 0) + prod(map(_coeff_of, combo))
-    result: dict[Multipartition, int] = {}
-    for nu_sizes, group in sorted(groups.items(), reverse=True):
-        for nu in itertools.product(*map(enumerate_partitions, nu_sizes)):
-            total = sum(coeff * _node_product(nu, keys)
-                        for keys, coeff in group.items())
-            if total:
-                result[nu] = total
-    return result
-
-
 @cache
 def _row_fillings(support, width: int, eta_i: Partition) -> tuple:
     """Fillings of one row that have a nonzero row LR coefficient.
@@ -157,15 +117,16 @@ def _row_fillings(support, width: int, eta_i: Partition) -> tuple:
     return tuple(out)
 
 
-def _filtration_multiplicities(layer: YoungLayer, eta: Multipartition) -> dict:
-    """The multiplicity map of the matrix-sum formula, for n >= 1.
+def _filtration_multiplicities(layer: YoungLayer, eta: Multipartition,
+                               columns) -> dict:
+    """The multiplicity map of the first rule, for n >= 1.
 
     A filling puts a partition on each edge: row i holds upper node i's,
     () off `below[i]`, and column j lower node j's.  For each nu with one
     component per lower node, sums over the fillings the product of row
     coefficients lr_multi(eta^i, R_i) and column coefficients
-    lr_multi(nu^j, C_j).  An empty eta^i has one row, all (), at
-    coefficient 1, so only the nonempty rows are combined.
+    lr_multi(nu^j, C_j), as the table `columns` lists them.  An empty eta^i
+    has one row, all (), at coefficient 1, so only nonempty rows combine.
     """
     per_row = [_row_fillings(js, len(layer.lower), part)
                for js, part in zip(layer.below, eta) if part]
@@ -177,7 +138,7 @@ def _filtration_multiplicities(layer: YoungLayer, eta: Multipartition) -> dict:
     for combo in itertools.product(*per_row):
         row_coeff = prod(map(_coeff_of, combo))
         # one nu^j per column, chosen independently
-        nus, coeffs = zip(*map(_column_expansion, zip(*map(_row_of, combo))))
+        nus, coeffs = zip(*map(columns, zip(*map(_row_of, combo))))
         for nu, w in zip(itertools.product(*nus),
                          map(prod, itertools.product(*coeffs))):
             result[nu] = get(nu, 0) + row_coeff * w
@@ -190,6 +151,7 @@ def _column_expansion(column) -> tuple:
 
     `column` holds one partition per row, () entries included; the nus
     are partitions of its total size in `enumerate_partitions` order.
+    Folds the product kernel over the nonempty parts.
     """
     terms = {(): 1}
     for part in sorted(p for p in column if p):
@@ -199,6 +161,18 @@ def _column_expansion(column) -> tuple:
                 grown[nu] = grown.get(nu, 0) + c * d
         terms = grown
     return tuple(zip(*sorted(terms.items(), reverse=True)))
+
+
+@cache
+def _column_by_walk(column) -> tuple:
+    """`_column_expansion`'s table by the LR walk, never by `_lr_product`.
+
+    Asks `_lr_multi_sorted` about every partition of the column's size.
+    """
+    key = tuple(sorted(p for p in column if p))
+    terms = [(nu, c) for nu in enumerate_partitions(sum(map(sum, key)))
+             if (c := _lr_multi_sorted(nu, key))]
+    return tuple(zip(*terms))
 
 
 def _check_lambda(m: int, lam) -> Multipartition:
@@ -215,8 +189,9 @@ def branch_first(m: int, lam: Multipartition, method: str = "matrices") -> dict:
     """Multiplicities of the restriction from S_m wr S_n to S_{m-1} wr S_n.
 
     Returns a map from p(m-1)-component multipartitions of n to positive
-    multiplicities.  ``method`` selects the matrix-sum formula or the
-    good-labelling sum; both give the same map.
+    multiplicities.  ``method`` selects the column table: the product
+    kernel for the matrix-sum formula, the LR walk for the good-labelling
+    sum; both give the same map, in the same order.
     """
     if method not in ("matrices", "labellings"):
         raise ValueError(f"unknown method {method!r}")
@@ -224,9 +199,8 @@ def branch_first(m: int, lam: Multipartition, method: str = "matrices") -> dict:
     layer = young_layer(m)
     if not any(lam):  # n = 0: both methods give the one nu, all ()
         return {((),) * len(layer.lower): 1}
-    if method == "matrices":
-        return _filtration_multiplicities(layer, lam)
-    return _labelling_multiplicities(layer, lam)
+    columns = _column_expansion if method == "matrices" else _column_by_walk
+    return _filtration_multiplicities(layer, lam, columns)
 
 
 def wreath_specht_dimension(m: int, lam: Multipartition) -> int:

@@ -22,8 +22,8 @@ from math import factorial
 from operator import mul
 from typing import Iterator
 
-from .branching import (_check_lambda, _filtration_multiplicities,
-                        _labelling_multiplicities, _wreath_specht_dimension,
+from .branching import (_check_lambda, _column_by_walk, _column_expansion,
+                        _filtration_multiplicities, _wreath_specht_dimension,
                         branch_first, branch_second, wreath_specht_dimension,
                         young_layer)
 from .lr import _lr_coefficient, _lr_product
@@ -426,7 +426,7 @@ def verify_length_lemma(max_n: int = 6) -> dict:
 
 
 def verify_labelling_equivalence(max_m: int = 4, max_n: int = 4) -> dict:
-    """Good-labelling sums equal the matrix-formula multiplicities."""
+    """Labelling sums (walk columns) equal matrix sums (kernel columns)."""
     checked = 0
     failures = []
     for m in range(2, max_m + 1):
@@ -434,8 +434,10 @@ def verify_labelling_equivalence(max_m: int = 4, max_n: int = 4) -> dict:
         for n in range(1, max_n + 1):
             for lam in multipartitions(n, len(layer.upper)):
                 lam = _check_lambda(m, lam)
-                via_mats = _filtration_multiplicities(layer, lam)
-                via_labs = _labelling_multiplicities(layer, lam)
+                via_mats = _filtration_multiplicities(layer, lam,
+                                                      _column_expansion)
+                via_labs = _filtration_multiplicities(layer, lam,
+                                                      _column_by_walk)
                 checked += 1
                 if via_mats != via_labs:
                     failures.append(f"m={m} lambda={lam}: "

@@ -14,7 +14,8 @@ from helpers import (_column_map, _row_fillings_by_filter, adjacency_of,
                      filtration_multiplicities_by_loop,
                      good_labellings_by_fillings)
 from wreathbranch import branching, shapes, verify
-from wreathbranch.branching import (YoungLayer, _column_expansion,
+from wreathbranch.branching import (YoungLayer, _column_by_walk,
+                                    _column_expansion,
                                     _filtration_multiplicities, branch_first,
                                     branch_second, good_labellings,
                                     wreath_specht_dimension, young_layer)
@@ -127,8 +128,9 @@ def test_labellings_match_the_filling_reference():
 
 
 def test_labelling_sum_matches_the_per_nu_definition():
-    # branch_first groups the sum by the size composition of nu; here it
-    # is summed per nu through the exported, checked function
+    # branch_first sums over the fillings, with the column coefficients
+    # from the LR walk; here it is summed per nu through the exported,
+    # checked function.  The map comes in the matrix method's order.
     cases = []
     for m, max_n in ((1, 4), (2, 4), (3, 4), (4, 3)):
         layer = young_layer(m)
@@ -141,15 +143,15 @@ def test_labelling_sum_matches_the_per_nu_definition():
                     if total:
                         expected[nu] = total
                 cases.append((m, lam, expected))
-    for m, lam, expected in cases:
-        got = branch_first(m, lam, method="labellings")
-        assert list(got.items()) == list(expected.items()), (m, lam)
     # a shuffled order mixes the size compositions, so the memoised row
-    # fillings are met in another order
-    random.Random(11).shuffle(cases)
-    for m, lam, expected in cases:
+    # fillings and column tables are met in another order
+    shuffled = cases[:]
+    random.Random(11).shuffle(shuffled)
+    for m, lam, expected in cases + shuffled:
         got = branch_first(m, lam, method="labellings")
-        assert list(got.items()) == list(expected.items()), (m, lam)
+        assert got == expected, (m, lam)
+        assert list(got.items()) == list(branch_first(m, lam).items()), (
+            m, lam)
 
 
 def test_good_labellings_are_a_fresh_list():
@@ -243,15 +245,17 @@ def test_filtration_without_nonempty_rows(monkeypatch):
     assert adjacency_of(young_layer(1)) == ((1,),)
     for method in ("matrices", "labellings"):
         assert branch_first(1, ((),), method=method) == {((),): 1}
-    # a nonempty row with no support has no filling
-    assert _filtration_multiplicities(_layer_of(((0, 0), (1, 1))),
-                                      ((1,), ())) == {}
+    # a nonempty row with no support has no filling, by either table
+    for columns in (_column_expansion, _column_by_walk):
+        assert _filtration_multiplicities(_layer_of(((0, 0), (1, 1))),
+                                          ((1,), ()), columns) == {}
 
 
 def test_filtration_identity_matrix():
     eye = _layer_of(((1, 0), (0, 1)))
     for eta in [((2,), (1,)), ((1, 1), ()), ((3, 1), (2, 2))]:
-        assert _filtration_multiplicities(eye, eta) == {eta: 1}
+        for columns in (_column_expansion, _column_by_walk):
+            assert _filtration_multiplicities(eye, eta, columns) == {eta: 1}
 
 
 def test_branch_first_worked_example():
@@ -485,19 +489,39 @@ def test_dimension_identity_reports_a_dropped_row_filling(monkeypatch):
 
 def test_labelling_equivalence_reports_a_perturbed_labelling_sum(
         monkeypatch):
-    # the suite calls the labelling core directly, so the fault is set
-    # where the suite looks it up
-    labelling_route = verify._labelling_multiplicities
+    # the suite passes the walk's column table to the core itself, so the
+    # fault is set where the suite looks it up
+    walk_route = verify._column_by_walk
 
-    def perturbed(layer, lam):
-        mults = labelling_route(layer, lam)
-        mults[next(iter(mults))] += 1
-        return mults
+    def perturbed(column):
+        nus, coeffs = walk_route(column)
+        return nus, (coeffs[0] + 1,) + coeffs[1:]
 
-    monkeypatch.setattr(verify, "_labelling_multiplicities", perturbed)
+    monkeypatch.setattr(verify, "_column_by_walk", perturbed)
     report = verify_labelling_equivalence(2, 2)
     assert report["checked"] == 7
     assert len(report["failures"]) == 7
+
+
+@pytest.mark.parametrize("fault", ["drop the last nu", "add 1"])
+def test_labelling_equivalence_reports_a_faulty_walk_table(monkeypatch,
+                                                           fault):
+    walk_route = branching._column_by_walk
+
+    def faulty(column):
+        nus, coeffs = walk_route(column)
+        if fault == "add 1":
+            return nus, coeffs[:-1] + (coeffs[-1] + 1,)
+        return nus[:-1], coeffs[:-1]
+
+    monkeypatch.setattr(verify, "_column_by_walk", faulty)
+    branching._column_by_walk.cache_clear()
+    try:
+        report = verify_labelling_equivalence(3, 3)
+    finally:
+        branching._column_by_walk.cache_clear()
+    assert report["checked"] == 51
+    assert report["failures"]
 
 
 def test_unknown_rule_raises_before_any_work():

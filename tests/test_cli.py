@@ -690,14 +690,13 @@ def test_parts_past_255_are_ordered_by_tuple_keys(capsys):
 
 def test_method_disagreement(capsys, monkeypatch):
     lam = ((2,), (1, 1), (1, 1))
-    labelling_route = branching._labelling_multiplicities
+    walk_route = branching._column_by_walk
 
-    def perturbed(layer, lam):
-        mults = labelling_route(layer, lam)
-        mults[next(iter(mults))] += 1
-        return mults
+    def perturbed(column):
+        nus, coeffs = walk_route(column)
+        return nus, (coeffs[0] + 1,) + coeffs[1:]
 
-    monkeypatch.setattr(branching, "_labelling_multiplicities", perturbed)
+    monkeypatch.setattr(branching, "_column_by_walk", perturbed)
     mats = branching.branch_first(3, lam, method="matrices")
     labs = branching.branch_first(3, lam, method="labellings")
     assert mats != labs
@@ -756,15 +755,15 @@ def test_fresh_process_exit_codes(argv, code, out, err):
 
 
 def test_fresh_process_verification_failure():
-    # the labelling route of --method both is raised by 1 on one entry
+    # the labelling route of --method both reads each column's first
+    # coefficient raised by 1
     script = ("import sys\n"
               "from wreathbranch import branching, cli\n"
-              "route = branching._labelling_multiplicities\n"
-              "def perturbed(layer, lam):\n"
-              "    mults = route(layer, lam)\n"
-              "    mults[next(iter(mults))] += 1\n"
-              "    return mults\n"
-              "branching._labelling_multiplicities = perturbed\n"
+              "route = branching._column_by_walk\n"
+              "def perturbed(column):\n"
+              "    nus, coeffs = route(column)\n"
+              "    return nus, (coeffs[0] + 1,) + coeffs[1:]\n"
+              "branching._column_by_walk = perturbed\n"
               "sys.argv[1:] = ['branch-first', '-m', '3', '--lambda',\n"
               "                '[[2],[1,1],[1,1]]', '--method', 'both']\n"
               "cli.run()\n")
