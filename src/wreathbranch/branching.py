@@ -2,9 +2,10 @@
 
 The first rule (restriction to S_{m-1} wr S_n) is computed two ways by
 one loop over fillings, whose rows and columns hold a good labelling's
-labels at the upper and lower nodes of the two-layer Young graph slice:
-the matrix formula takes the column coefficients from the product kernel,
-the good-labelling sum from the LR walk; the two must agree.
+labels at the upper and lower nodes of the two-layer Young graph slice.
+Both take column coefficients from the one LR walk of ``lr``, in two ways
+that must agree: the matrix formula folds Schur products (free walks on
+disjoint skew shapes), the labelling sum asks lr_multi about each nu.
 The second rule (restriction to S_m wr S_{n-1}) removes one box from one
 component, weighted by a hook-length dimension.
 """
@@ -165,7 +166,7 @@ def _column_expansion(column) -> tuple:
 
 @cache
 def _column_by_walk(column) -> tuple:
-    """`_column_expansion`'s table by the LR walk, never by `_lr_product`.
+    """`_column_expansion`'s table per nu, never by `_lr_product`.
 
     Asks `_lr_multi_sorted` about every partition of the column's size.
     """

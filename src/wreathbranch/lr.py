@@ -4,17 +4,17 @@
 alpha u beta <= lam <= alpha + beta in dominance order (Fulton, *Young
 Tableaux*, section 5).  Otherwise a pruned walk after Anders Buch's
 ``lrcalc`` counts the LR tableaux of shape lam/alpha and content beta.
-``lr_multi`` peels a tuple of partitions off in one loop, by the walk
-with free content (``lrcalc``'s skew).  ``_lr_product`` lists every
-nonzero c^nu_{kappa,alpha} at once, strip by strip as ``lrcalc`` does.
-``verify.schur_product_oracle`` cross-checks both by another route.
+Its other mode, free content (``lrcalc``'s skew), lists every nonzero
+c^lam_{alpha,beta} at once: ``lr_multi`` peels a tuple of partitions by
+it in one loop, and ``_lr_product`` walks a disjoint skew shape with it.
+``verify.schur_product_oracle`` cross-checks both modes by another route.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import accumulate, zip_longest
-from operator import le, sub
+from operator import le
 
 from .shapes import Partition, check_partition
 
@@ -126,34 +126,17 @@ def _dominated(small, big, n: int) -> bool:
 
 @cache
 def _lr_product(kappa: Partition, alpha: Partition) -> dict:
-    """{nu: c^nu_{kappa,alpha}} for each nu where it is not 0; no recursion.
+    """{nu: c^nu_{kappa,alpha}} for each nu where it is not 0.
 
-    After ``lrcalc``, label i + 1 fills a horizontal strip of alpha_i
-    boxes top-down while the label-(i+1) boxes in rows <= r number at
-    most the label-i boxes in rows < r.  Do not change the cached dict.
+    s_kappa s_alpha is s_{lam/mu} for kappa set north-east of alpha
+    (Macdonald, ch. I section 5): lam is kappa's rows shifted right by
+    a = alpha_1 above alpha's, mu = (a^len(kappa)), and the free-content
+    walk lists that skew.  Do not change the cached dict.
     """
-    # (shape, most boxes the next label may put in rows <= r) -> tableaux
-    states = {(kappa, (sum(alpha),) * (len(kappa) + 1)): 1}
-    for size in alpha:
-        grown: dict = {}
-        for (shape, most), count in states.items():
-            start = most.count(0)  # the rows above the last label's boxes
-            room = [size, *map(sub, shape, shape[1:] + (0,))][start:]
-            room_below = list(accumulate(room[:0:-1], initial=0))[::-1]
-            partial = [(0, (0,) * start)]  # (boxes placed, boxes per row)
-            for top, cap, rest in zip(most[start:], room, room_below):
-                partial = [(c + a, strip + (a,)) for c, strip in partial
-                           for a in range(max(0, size - c - rest),
-                                          min(top - c, cap, size - c) + 1)]
-            for _, strip in partial:
-                nu = tuple(o + a for o, a in zip(shape + (0,), strip) if o + a)
-                key = nu, tuple(accumulate(strip, initial=0))
-                grown[key] = grown.get(key, 0) + count
-        states = grown
-    product: dict = {}
-    for (shape, _), count in states.items():
-        product[shape] = product.get(shape, 0) + count
-    return product
+    if not (kappa and alpha):
+        return {kappa or alpha: 1}
+    a = alpha[0]
+    return _lr_walk(tuple(a + k for k in kappa) + alpha, (a,) * len(kappa))
 
 
 @cache

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache, partial
-from math import factorial
+from math import factorial, prod
 from operator import mul
 from typing import Iterator
 
@@ -32,10 +32,10 @@ from .shapes import (Composition, Partition, check_count, compositions,
                      enumerate_partitions, multipartitions)
 
 # Largest |alpha| + |beta| for schur_product_oracle, and largest n for
-# the suites over all of S_n: brute_force_double_cosets labels all n!
-# permutations, and the stabilizer suite checks the conjugate of
-# S_gamma by each of them.  At n = 7, cosets take about 3 s and
-# stabilizers about 1 s.
+# the suites over all of S_n: the coset oracle labels all n!
+# permutations by their right cosets, and the stabilizer suite checks
+# the conjugate of S_gamma by each of them.  At n = 7, cosets take about
+# 3 s and stabilizers about 1 s.
 SCHUR_ORACLE_BOUND = 15
 ORACLE_BOUND = 7
 
@@ -252,23 +252,22 @@ def brute_force_double_cosets(
     ORACLE_BOUND.  Right multiplication by S_alpha permutes the right
     cosets S_gamma * p, so the orbits are closed on those n!/|S_gamma|
     cosets, by the moves `_right_cosets` keeps per gamma.  Returns
-    (owner, least): owner[i] labels the double coset of the i-th
-    permutation of `_indexed_symmetric_group(n)`, and least[k], rising
-    in k, indexes the least element of double coset k, which the
-    `cosets` suite asks every representative to be.
+    (owner, least): owner[c] labels the double coset of right coset c
+    of `_right_cosets(gamma)`, and least[k], rising in k, indexes the
+    least element of double coset k, which the `cosets` suite asks every
+    representative to be.
     """
     n = sum(gamma)
     if sum(alpha) != n:
         raise ValueError("gamma and alpha must have equal size")
     if n > ORACLE_BOUND:
         raise ValueError("oracle bound exceeded")
-    coset, seeds, moves = _right_cosets(tuple(gamma))
+    _, seeds, moves = _right_cosets(tuple(gamma))
     # cosets are numbered by least element, so numbering the double
     # cosets by least coset numbers them by least element too
     double, double_seeds = _orbits(
         len(seeds), [moves[j] for j in _block_transpositions(alpha)])
-    return (list(map(double.__getitem__, coset)),
-            [seeds[k] for k in double_seeds])
+    return double, [seeds[k] for k in double_seeds]
 
 
 def positive_compositions(n: int):
@@ -334,8 +333,9 @@ def verify_cosets(max_n: int = 6) -> dict:
     failures = []
     for what, gamma, alpha, reps in systems:
         owner, least = brute_force_double_cosets(gamma, alpha)
-        if len(owner) != factorial(sum(gamma)):
-            failures.append(f"{what}: coset labels do not cover S_n")
+        right = factorial(sum(gamma)) // prod(map(factorial, gamma))
+        if len(owner) != right:
+            failures.append(f"{what}: {len(owner)} right cosets, not {right}")
         index = _indexed_symmetric_group(sum(gamma))[1]
         checked += 1
         if sorted(index.get(rep, -1) for rep in reps) != least:
@@ -426,7 +426,7 @@ def verify_length_lemma(max_n: int = 6) -> dict:
 
 
 def verify_labelling_equivalence(max_m: int = 4, max_n: int = 4) -> dict:
-    """Labelling sums (walk columns) equal matrix sums (kernel columns)."""
+    """Labelling sums (per-nu columns) equal matrix sums (product columns)."""
     checked = 0
     failures = []
     for m in range(2, max_m + 1):

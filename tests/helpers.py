@@ -8,6 +8,7 @@ test.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -17,6 +18,7 @@ from collections import Counter
 from pathlib import Path
 
 from wreathbranch import enumerate_partitions, lr_multi
+from wreathbranch.lr import _lr_product
 from wreathbranch.verify import positive_compositions
 
 
@@ -531,6 +533,22 @@ def _column_map(col_parts) -> dict:
     size = sum(map(sum, col_parts))
     return {nu: c for nu in enumerate_partitions(size)
             if (c := lr_multi(nu, col_parts))}
+
+
+def product_digest(total: int) -> str:
+    """SHA-256 over every product s_kappa * s_alpha with |kappa| +
+    |alpha| = total, as sorted items of the uncached kernel, for kappa by
+    size, then in `enumerate_partitions` order, then alpha likewise.
+
+    Pins the kernel's answers past the Schur oracle's bound.
+    """
+    digest = hashlib.sha256()
+    for k in range(total + 1):
+        for kappa in enumerate_partitions(k):
+            for alpha in enumerate_partitions(total - k):
+                product = _lr_product.__wrapped__(kappa, alpha)
+                digest.update(repr(sorted(product.items())).encode())
+    return digest.hexdigest()
 
 
 def filtration_multiplicities_by_loop(A, eta) -> dict:

@@ -18,7 +18,7 @@ from wreathbranch.verify import (SCHUR_ORACLE_BOUND, _kostka,
 
 from helpers import (_column_map, enumerate_skew_ssyt, fits,
                      full_product_schur_expansion, lattice_tableaux,
-                     schur_monomials)
+                     product_digest, schur_monomials)
 
 
 def test_lr_coefficient_examples():
@@ -328,13 +328,36 @@ def test_lr_oracle_reports_a_window_that_drops_a_coefficient(monkeypatch):
     assert report["failures"] == ["c^(2, 1)_((1,),(1, 1)) = 0, oracle says 1"]
 
 
+def _semistandard_walk(lam, alpha, beta=None):
+    """The walk without its lattice prune: the semistandard tableaux of
+    shape lam/alpha and type beta, or with beta None {type: count} over
+    the partition types."""
+    if beta is not None:
+        return len(enumerate_skew_ssyt(lam, alpha, beta))
+    return {b: c for b in enumerate_partitions(sum(lam) - sum(alpha))
+            if (c := len(enumerate_skew_ssyt(lam, alpha, b)))}
+
+
 def test_lr_oracle_reports_a_walk_without_the_lattice_prune(monkeypatch):
     # without the lattice condition the walk counts every semistandard
-    # tableau of shape lam/alpha and type beta
-    monkeypatch.setattr(lr, "_lr_walk", lambda lam, alpha, beta: len(
-        enumerate_skew_ssyt(lam, alpha, beta)))
+    # tableau; the product kernel walks a disjoint skew shape in free
+    # mode, so the products of two nonempty factors fail as well
+    monkeypatch.setattr(lr, "_lr_walk", _semistandard_walk)
     report = verify_lr_oracle(3)
-    assert report["failures"] == ["c^(2, 1)_((1,),(1, 1)) = 2, oracle says 1"]
+    assert report["checked"] == 43
+    assert report["failures"] == [
+        "s_(1,) * s_(1,) = {(2,): 1, (1, 1): 2}, "
+        "oracle says {(2,): 1, (1, 1): 1}",
+        "s_(1,) * s_(2,) = {(3,): 1, (2, 1): 2, (1, 1, 1): 3}, "
+        "oracle says {(3,): 1, (2, 1): 1}",
+        "s_(1,) * s_(1, 1) = {(2, 1): 1, (1, 1, 1): 3}, "
+        "oracle says {(2, 1): 1, (1, 1, 1): 1}",
+        "c^(2, 1)_((1,),(1, 1)) = 2, oracle says 1",
+        "s_(2,) * s_(1,) = {(3,): 1, (2, 1): 2, (1, 1, 1): 3}, "
+        "oracle says {(3,): 1, (2, 1): 1}",
+        "s_(1, 1) * s_(1,) = {(2, 1): 1, (1, 1, 1): 3}, "
+        "oracle says {(2, 1): 1, (1, 1, 1): 1}",
+    ]
 
 
 def _product_mismatches(max_total):
@@ -359,13 +382,22 @@ def test_the_product_kernel_matches_the_schur_oracle():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_the_product_kernel_past_the_oracle_run(data):
-    # the kernel builds strips; the scan asks lr_multi, which walks boxes
+    # the kernel walks a disjoint skew shape in free mode; the scan asks
+    # lr_multi, which walks each nu with one factor's content fixed
     n = data.draw(st.integers(9, 14), label="|kappa| + |alpha|")
     k = data.draw(st.integers(0, n), label="|kappa|")
     kappa = data.draw(st.sampled_from(enumerate_partitions(k)), label="kappa")
     alpha = data.draw(st.sampled_from(enumerate_partitions(n - k)),
                       label="alpha")
     assert lr._lr_product(kappa, alpha) == _column_map((kappa, alpha))
+
+
+def test_the_products_past_the_oracle_keep_their_digest():
+    # recorded from the strip-by-strip kernel that the disjoint-skew walk
+    # replaced; 5,822 products, beyond SCHUR_ORACLE_BOUND
+    assert 16 > SCHUR_ORACLE_BOUND
+    assert product_digest(16) == (
+        "c801ab61a8003679a92251d7e5b501df6687918e52daec500c85d8562170b029")
 
 
 def _semistandard_product(kappa, alpha):

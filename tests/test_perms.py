@@ -164,10 +164,12 @@ def test_compositions_are_validated():
 
 def test_brute_force_double_cosets_basics():
     for n in range(1, 6):
+        # S_(n) is all of S_n: one right coset, one double coset
         owner, least = brute_force_double_cosets((n,), (n,))
-        assert len(least) == 1 and owner == [0] * math.factorial(n)
+        assert len(least) == 1 and owner == [0]
+    owner, least = brute_force_double_cosets((1, 1, 1), (2, 1))
+    assert len(owner) == 6 and len(least) == 3
     assert len(brute_force_double_cosets((1, 1, 1), (3,))[1]) == 1
-    assert len(brute_force_double_cosets((1, 1, 1), (2, 1))[1]) == 3
     with pytest.raises(ValueError, match="oracle bound exceeded"):
         brute_force_double_cosets((8,), (8,))
     with pytest.raises(ValueError, match="equal size"):
@@ -178,10 +180,11 @@ def _labels_as_sets(gamma, alpha):
     """The double cosets of the label form as sets, in label order."""
     owner, least = brute_force_double_cosets(gamma, alpha)
     perms = _indexed_symmetric_group(sum(gamma))[0]
-    assert len(owner) == len(perms)
-    assert least == [owner.index(k) for k in range(len(least))]
+    labels = [owner[c] for c in _right_cosets(gamma)[0]]
+    assert len(labels) == len(perms)
+    assert least == [labels.index(k) for k in range(len(least))]
     cosets = [set() for _ in range(len(least))]
-    for p, k in zip(perms, owner):
+    for p, k in zip(perms, labels):
         cosets[k].add(p)
     return [frozenset(c) for c in cosets]
 
@@ -274,6 +277,22 @@ def test_coset_suite_catches_wrong_representatives(monkeypatch, fault):
                for f in report["failures"])
 
 
+def test_coset_suite_counts_the_right_cosets(monkeypatch):
+    # an oracle that loses the last right coset of every gamma
+    oracle = verify.brute_force_double_cosets
+
+    def lossy(gamma, alpha):
+        owner, least = oracle(gamma, alpha)
+        return owner[:-1], least
+
+    monkeypatch.setattr(verify, "brute_force_double_cosets", lossy)
+    failures = verify.verify_cosets(3)["failures"]
+    # n!/|S_gamma| = 3 for gamma = (1, 2)
+    assert "((1, 2),(2, 1)): 2 right cosets, not 3" in failures
+    # every system reports it: 1 + 4 + 16 pairs, 1 + 2 + 4 rho systems
+    assert sum(" right cosets, not " in f for f in failures) == 28
+
+
 def test_coset_suite_catches_a_repeated_rho_rep(monkeypatch):
     rho = verify.rho_cosets
 
@@ -318,7 +337,8 @@ def test_least_elements_are_the_unique_shortest():
         for gamma in comps:
             for alpha in comps:
                 owner, least = brute_force_double_cosets(gamma, alpha)
-                as_short = Counter(k for k, ell in zip(owner, lengths)
+                labels = [owner[c] for c in _right_cosets(gamma)[0]]
+                as_short = Counter(k for k, ell in zip(labels, lengths)
                                    if ell <= lengths[least[k]])
                 assert as_short == Counter(range(len(least)))
                 total += len(least)
