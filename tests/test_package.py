@@ -90,6 +90,15 @@ def test_every_perms_function_has_a_caller_besides_the_oracles():
     assert defined <= referenced, sorted(defined - referenced)
 
 
+def test_no_module_asserts():
+    # python -O strips assert statements, so no invariant may rest on one
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} asserts on lines {lines}"
+
+
 def run_optimized(code: str) -> subprocess.CompletedProcess:
     """Run `code` under ``python -O``, which strips assert statements."""
     src = Path(wreathbranch.__file__).resolve().parents[1]

@@ -465,14 +465,23 @@ def test_stabilizer_suite_catches_faults_past_the_brute_force_bound(
     assert report == stabilizer_report_by_conjugates(5, group)
 
 
-@pytest.mark.parametrize("fault", ["intact", *STABILIZER_FAULTS])
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n, fault", [
+    *((n, fault) for n in (4, 5) for fault in ["intact", *STABILIZER_FAULTS]),
+    # n = 6, the oracle_sweep bound: the size check, the fixing check and
+    # a fault no check past n = 4 can see, each at gamma = (2, 2, 2) only
+    (6, "intact"), (6, "omitted"), (6, "swapped"), (6, "collapsed")])
 def test_stabilizer_suite_matches_the_materialized_reference(
         monkeypatch, n, fault):
     # the reference builds every conjugate in full; the suite must report
     # the same checks and the same failures in the same order, also for
     # a repeated element, which no check can see
-    group = STABILIZER_FAULTS.get(fault, young_subgroup)
+    faulty = STABILIZER_FAULTS.get(fault, young_subgroup)
+
+    def group(gamma):
+        if n < 6 or gamma == (2, 2, 2):
+            return faulty(gamma)
+        return young_subgroup(gamma)
+
     monkeypatch.setattr(verify, "young_subgroup", group)
     assert (verify.verify_stabilizers(n)
             == stabilizer_report_by_conjugates(n, group))
