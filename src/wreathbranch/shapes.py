@@ -22,19 +22,13 @@ Composition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
 
 
-def is_partition(parts) -> bool:
-    """True iff `parts` is weakly decreasing with all parts positive."""
-    parts = tuple(parts)
-    return not parts or (parts[-1] > 0
-                         and sorted(parts, reverse=True) == list(parts))
-
-
 def check_partition(parts) -> Partition:
-    """`parts` as a tuple, or ValueError unless it is a partition of ints."""
+    """`parts` as a tuple, or ValueError unless its parts are ints, all
+    positive and weakly decreasing: the one partition check."""
     parts = tuple(parts)
-    # builtins rather than generators: the entry points call this per
-    # component, and () is the commonest component of a multipartition
-    if parts and (set(map(type, parts)) - {int} or not is_partition(parts)):
+    # builtins, not generators: called per component, () the commonest one
+    if parts and (set(map(type, parts)) - {int} or parts[-1] <= 0
+                  or sorted(parts, reverse=True) != list(parts)):
         raise ValueError(f"not a partition: {parts}")
     return parts
 

@@ -40,6 +40,12 @@ SCHUR_ORACLE_BOUND = 15
 ORACLE_BOUND = 7
 
 
+def _check_bound(value: int, bound: int) -> None:
+    """ValueError, before any work, if `value` exceeds the oracle `bound`."""
+    if value > bound:
+        raise ValueError(f"oracle bound exceeded: {value} > {bound}")
+
+
 @cache
 def _kostka_at(lam: Partition, mu: Partition) -> int:
     """K(lam, mu), the number of semistandard tableaux of shape lam and
@@ -102,8 +108,7 @@ def schur_product_oracle(alpha: Partition, beta: Partition) -> dict:
     alpha, beta = tuple(alpha), tuple(beta)
     a = sum(alpha)
     n = a + sum(beta)
-    if n > SCHUR_ORACLE_BOUND:
-        raise ValueError("oracle bound exceeded")
+    _check_bound(n, SCHUR_ORACLE_BOUND)
     k_alpha, k_beta = _kostka(alpha), _kostka(beta)
     # enumerate_partitions lists partitions in descending lex order
     shapes = enumerate_partitions(n)
@@ -260,8 +265,7 @@ def brute_force_double_cosets(
     n = sum(gamma)
     if sum(alpha) != n:
         raise ValueError("gamma and alpha must have equal size")
-    if n > ORACLE_BOUND:
-        raise ValueError("oracle bound exceeded")
+    _check_bound(n, ORACLE_BOUND)
     _, seeds, moves = _right_cosets(tuple(gamma))
     # cosets are numbered by least element, so numbering the double
     # cosets by least coset numbers them by least element too
@@ -280,12 +284,10 @@ def positive_compositions(n: int):
             for k in range(n + 1) for c in compositions(n - k, (n - k,) * k))
 
 
-def verify_lr_oracle(max_total: int = 8) -> dict:
+def verify_lr_oracle(max_total: int) -> dict:
     """LR coefficients and product-kernel expansions against
     Schur-polynomial peeling, all sizes; `checked` counts coefficients."""
-    if max_total > SCHUR_ORACLE_BOUND:
-        raise ValueError(f"oracle bound exceeded: {max_total} > "
-                         f"{SCHUR_ORACLE_BOUND}")
+    _check_bound(max_total, SCHUR_ORACLE_BOUND)
     checked = 0
     failures = []
     for total in range(0, max_total + 1):
@@ -309,17 +311,11 @@ def verify_lr_oracle(max_total: int = 8) -> dict:
     return {"checked": checked, "failures": failures}
 
 
-def _check_oracle_bound(max_n: int) -> None:
-    """The S_n suites walk S_n for every n <= max_n: cap max_n first."""
-    if max_n > ORACLE_BOUND:
-        raise ValueError(f"oracle bound exceeded: {max_n} > {ORACLE_BOUND}")
-
-
-def verify_cosets(max_n: int = 6) -> dict:
+def verify_cosets(max_n: int) -> dict:
     """Each double coset representative system must be the least, that
     is the shortest, elements of its double cosets in the brute-force
     partition, one each: the paper's distinguished representatives."""
-    _check_oracle_bound(max_n)
+    _check_bound(max_n, ORACLE_BOUND)
     levels = [list(positive_compositions(n)) for n in range(1, max_n + 1)]
     # one system at a time: (7) has 586,751 representatives
     systems = itertools.chain(
@@ -350,7 +346,7 @@ def verify_cosets(max_n: int = 6) -> dict:
     return {"checked": checked, "failures": failures}
 
 
-def verify_stabilizers(max_n: int = 6) -> dict:
+def verify_stabilizers(max_n: int) -> dict:
     """Stabilizer of the acted standard filling equals the conjugated subgroup.
 
     The stabilizer under the box action depends only on the flat filling,
@@ -364,7 +360,7 @@ def verify_stabilizers(max_n: int = 6) -> dict:
     oracle_sweep benchmark pins them.  Only for n <= 4 is the conjugate
     built, and compared per sigma with the stabilizer found by brute force.
     """
-    _check_oracle_bound(max_n)
+    _check_bound(max_n, ORACLE_BOUND)
     checked = 0
     failures = []
     for n in range(1, max_n + 1):
@@ -394,9 +390,9 @@ def _conjugate_is_stabilizer(group, flat0, sigma: Perm) -> bool:
                     if all(flat[t - 1] == e for t, e in zip(theta, flat))}
 
 
-def verify_length_lemma(max_n: int = 6) -> dict:
+def verify_length_lemma(max_n: int) -> dict:
     """Multiplying by a descent of the inverse drops the length by one."""
-    _check_oracle_bound(max_n)
+    _check_bound(max_n, ORACLE_BOUND)
     checked = 0
     failures = []
     for n in range(1, max_n + 1):
@@ -410,7 +406,7 @@ def verify_length_lemma(max_n: int = 6) -> dict:
     return {"checked": checked, "failures": failures}
 
 
-def verify_labelling_equivalence(max_m: int = 4, max_n: int = 4) -> dict:
+def verify_labelling_equivalence(max_m: int, max_n: int) -> dict:
     """Labelling sums (per-nu columns) equal matrix sums (product columns)."""
     checked = 0
     failures = []
@@ -456,8 +452,8 @@ def verify_dimensions(rule: str, max_m: int, max_n: int) -> dict:
     return {"checked": checked, "failures": failures}
 
 
-# suite -> (check taking (max_m, max_n), default max_m, default max_n).
-# Suites that do not range over m ignore max_m.
+# suite -> (check taking (max_m, max_n), default max_m, default max_n),
+# the only home of the CLI defaults; suites not over m ignore max_m.
 SUITES = {
     "lr-oracle": (lambda _, max_n: verify_lr_oracle(max_n), 1, 8),
     "cosets": (lambda _, max_n: verify_cosets(max_n), 1, 6),

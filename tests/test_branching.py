@@ -607,3 +607,17 @@ def test_both_rules_commute_at_request_sizes(m, lam):
     first_then_second = _then(branch_first(m, lam), branch_second, m - 1)
     second_then_first = _then(branch_second(m, lam), branch_first, m)
     assert first_then_second == second_then_first
+
+
+def test_second_rule_dimension_identity_reports_a_raised_entry(monkeypatch):
+    # the suite looks branch_second up in verify, so the fault goes there
+    def raised(m, lam):
+        mults = dict(branch_second(m, lam))
+        mults[next(iter(mults))] += 1
+        return mults
+
+    monkeypatch.setattr(verify, "branch_second", raised)
+    report = verify_dimensions("second", 3, 3)
+    # every lower node has a positive dimension, so every instance fails
+    assert report["checked"] == 51
+    assert len(report["failures"]) == 51

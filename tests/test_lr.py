@@ -243,9 +243,28 @@ def test_schur_product_oracle_bound():
     assert schur_product_oracle((SCHUR_ORACLE_BOUND,), ()) == \
         {(SCHUR_ORACLE_BOUND,): 1}
     first_rejected = SCHUR_ORACLE_BOUND + 1
-    with pytest.raises(ValueError, match="oracle bound exceeded"):
+    with pytest.raises(ValueError, match=f"oracle bound exceeded: "
+                       f"{first_rejected} > {SCHUR_ORACLE_BOUND}"):
         schur_product_oracle((first_rejected // 2,),
                              (first_rejected - first_rejected // 2,))
+
+
+def test_schur_oracle_rejects_a_negative_coefficient(monkeypatch):
+    # s_(1) read as -s_(1), so s_(1) * s_() is -s_(1)
+    monkeypatch.setattr(verify, "_kostka", lambda shape: {
+        mu: -k if shape == (1,) else k for mu, k in _kostka(shape).items()})
+    with pytest.raises(RuntimeError,
+                       match=r"negative coefficient -1 at \(1,\)"):
+        schur_product_oracle((1,), ())
+
+
+def test_schur_oracle_rejects_a_remainder(monkeypatch):
+    # without its leading monomial, s_(2) never clears [x^(2)]
+    monkeypatch.setattr(verify, "_kostka", lambda shape: {
+        mu: k for mu, k in _kostka(shape).items()
+        if shape != (2,) or mu != shape})
+    with pytest.raises(RuntimeError, match="not a sum of Schur polynomials"):
+        schur_product_oracle((1,), (1,))
 
 
 def test_lr_symmetry_small():

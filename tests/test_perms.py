@@ -170,10 +170,13 @@ def test_brute_force_double_cosets_basics():
     owner, least = brute_force_double_cosets((1, 1, 1), (2, 1))
     assert len(owner) == 6 and len(least) == 3
     assert len(brute_force_double_cosets((1, 1, 1), (3,))[1]) == 1
-    with pytest.raises(ValueError, match="oracle bound exceeded"):
+    with pytest.raises(ValueError, match="oracle bound exceeded: 8 > 7"):
         brute_force_double_cosets((8,), (8,))
     with pytest.raises(ValueError, match="equal size"):
         brute_force_double_cosets((2,), (1,))
+    # sizes are compared before the bound
+    with pytest.raises(ValueError, match="equal size"):
+        brute_force_double_cosets((8,), (7,))
 
 
 def _labels_as_sets(gamma, alpha):
@@ -485,3 +488,23 @@ def test_stabilizer_suite_matches_the_materialized_reference(
     monkeypatch.setattr(verify, "young_subgroup", group)
     assert (verify.verify_stabilizers(n)
             == stabilizer_report_by_conjugates(n, group))
+
+
+@pytest.mark.parametrize("planted", [(1, 2, 3, 4), (2, 4, 1, 3),
+                                     (4, 3, 2, 1)])
+def test_length_lemma_suite_reports_exactly_a_planted_length(monkeypatch,
+                                                             planted):
+    # one sigma's length read one too high breaks the lemma in exactly the
+    # instances (sigma, j) where sigma or sigma * (j, j+1) is that sigma
+    monkeypatch.setattr(verify, "length",
+                        lambda p: length(p) + (p == planted))
+    report = verify.verify_length_lemma(4)
+    instances = sorted(
+        (sigma, j) for sigma in all_perms(4)
+        for j in descents(inverse(sigma))
+        if planted in (sigma, compose(sigma, _transposition(j, 4))))
+    assert instances
+    assert report["checked"] == 43
+    assert report["failures"] == [
+        f"length lemma fails for sigma={sigma} j={j}"
+        for sigma, j in instances]

@@ -4,6 +4,7 @@ from functools import cache
 
 import pytest
 
+from wreathbranch import shapes
 from wreathbranch.perms import double_coset_reps
 from wreathbranch.shapes import (check_composition, compositions,
                                  enumerate_partitions, multipartitions,
@@ -114,6 +115,16 @@ def test_specht_dimension_checks_before_the_cache():
     assert specht_dimension((1,)) == 1
     with pytest.raises(ValueError, match="not a partition"):
         specht_dimension((True,))
+
+
+def test_specht_dimension_rejects_hooks_that_do_not_divide(monkeypatch):
+    # columns two boxes too long give (3) the hooks 5, 4, 3, and 60
+    # does not divide 3!
+    conjugate = shapes.conjugate
+    monkeypatch.setattr(shapes, "conjugate",
+                        lambda lam: tuple(p + 2 for p in conjugate(lam)))
+    with pytest.raises(RuntimeError, match="does not divide n!"):
+        shapes._specht_dimension.__wrapped__((3,))
 
 
 @pytest.mark.parametrize("caps", [(), (0,), (3,), (0, 0), (2, 0, 3),
